@@ -1,26 +1,35 @@
 """End-to-end audits: distortion certification, the Hamming-cube embedding,
 and a random-walk drift diagnostic.
 
-Exact mode compares the combined embedding against BFS distances pair by
-pair.  Envelope mode, for degrees with infeasible BFS, brackets the true
-distance by [F/3, min(6*sum+2*diam)] and reports a certificate that
-overestimates the distortion by at most the width (factor 18) of that
-bracket.
+The word metric and the combined embedding are both right-invariant:
+d(p s, q s) = d(p, q) for every s.  So every audited pair (p, q) is scored
+as the single element sigma = q p^-1 against the identity, with the
+closed-form distances of `identity_distances`, and every reported witness
+pair is (identity, sigma).  Exact mode sweeps each sigma != id against the
+BFS oracle; the sweep stands for all n!(n!-1) ordered pairs.  Envelope
+mode, for degrees with infeasible BFS, brackets the true distance by
+[F/3, min(6*sum+2*diam)] and reports a certificate that overestimates the
+distortion by at most the width (factor 18) of that bracket.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import sqrt
+from math import isclose, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .embed import DEFAULT_GRID_SCALE, interval_profile
+from .embed import (
+    DEFAULT_GRID_SCALE,
+    circle_grid,
+    circle_grid_distance,
+    identity_distances,
+    interval_profile,
+)
 from .metric import (
     BFS_DEGREE_GUARD,
     ResourceLimitError,
@@ -81,54 +90,31 @@ class DistortionReport:
         return out
 
 
-def _profiles_matrix(perms: Sequence[Permutation]) -> np.ndarray:
-    """Dense matrix of interval profiles over the union of observed keys."""
-    profiles = [interval_profile(p).coords for p in perms]
-    key_index: dict = {}
-    for coords in profiles:
-        for key in coords:
-            if key not in key_index:
-                key_index[key] = len(key_index)
-    mat = np.zeros((len(profiles), len(key_index)))
-    for i, coords in enumerate(profiles):
-        for key, value in coords.items():
-            mat[i, key_index[key]] = value
-    return mat
+def _elapsed_ms(start: float) -> float:
+    return round((time.perf_counter() - start) * 1000, 3)
 
 
-def _grids_matrix(perms_arr: np.ndarray) -> np.ndarray:
-    """Flattened unit-circle grids, shape (m, n*n) complex."""
-    diffs = perms_arr[:, :, None] - perms_arr[:, None, :]
-    n = perms_arr.shape[1]
-    return np.exp(2j * np.pi * diffs / n).reshape(len(perms_arr), -1)
+def _quotients(p_rows: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
+    """Rows of q * p^-1, the element that right-invariance scores for (p, q)."""
+    return np.take_along_axis(q_rows, np.argsort(p_rows, axis=1), axis=1)
 
 
-def _scan_chunk(
-    rows: range,
-    grids: np.ndarray,
-    profs: np.ndarray,
-    word: np.ndarray,
-    scale1: float,
-) -> tuple[int, float, tuple[int, int], float, tuple[int, int]]:
-    """Extreme embedding/word distance ratios over ordered pairs (i, j), i in rows."""
-    checked = 0
-    max_exp, exp_wit = -1.0, (0, 0)
-    max_con, con_wit = -1.0, (0, 0)
-    m = len(grids)
-    for i in rows:
-        emb = scale1 * np.abs(grids[i] - grids).sum(axis=1) + np.abs(profs[i] - profs).sum(axis=1)
-        d = word[i]
-        mask = np.arange(m) != i
-        checked += int(mask.sum())
-        ratios_exp = np.where(mask, emb / np.maximum(d, 1e-300), -1.0)
-        j = int(ratios_exp.argmax())
-        if ratios_exp[j] > max_exp:
-            max_exp, exp_wit = float(ratios_exp[j]), (i, j)
-        ratios_con = np.where(mask, d / np.maximum(emb, 1e-300), -1.0)
-        j = int(ratios_con.argmax())
-        if ratios_con[j] > max_con:
-            max_con, con_wit = float(ratios_con[j]), (i, j)
-    return checked, max_exp, exp_wit, max_con, con_wit
+def _witness(row: np.ndarray) -> tuple[Permutation, Permutation]:
+    n = len(row)
+    return Permutation.identity(n), Permutation(n, tuple(int(x) for x in row))
+
+
+def _check_witness(row: np.ndarray, closed_form: float, scale1: float) -> tuple[str, str]:
+    """Recompute a witness's distance from the coordinates; returns its text."""
+    p, q = _witness(row)
+    grid = circle_grid_distance(circle_grid(p), circle_grid(q))
+    reference = scale1 * grid + interval_profile(p).distance(interval_profile(q))
+    if not isclose(closed_form, reference, rel_tol=1e-9):
+        raise PropertyViolation(
+            f"closed-form distance {closed_form!r} of ({p}, {q}) differs from "
+            f"the coordinate distance {reference!r}"
+        )
+    return str(p), str(q)
 
 
 def distortion_audit(
@@ -137,120 +123,74 @@ def distortion_audit(
     sample_size: Optional[int] = None,
     seed: Optional[int] = None,
     scale1: float = DEFAULT_GRID_SCALE,
-    threads: int = 1,
     max_bfs_degree: int = BFS_DEGREE_GUARD,
 ) -> DistortionReport:
     """Certify the combined embedding against the word metric.
 
-    Exact mode runs every ordered pair (or a seeded sample) against the BFS
-    oracle.  Envelope mode samples pairs and certifies against the two-sided
-    formula bracket instead.
+    Each pair (p, q) is scored as sigma = q p^-1 against the identity.  Exact
+    mode sweeps every sigma != id, which stands for all n!(n!-1) ordered
+    pairs, or scores a seeded sample of pairs, against the BFS oracle.
+    Envelope mode samples pairs and certifies against the two-sided formula
+    bracket instead.
     """
     start = time.perf_counter()
     if mode not in ("exact", "envelope"):
         raise ValueError(f"unknown mode {mode!r}")
-    if n < 2:
-        report = DistortionReport(
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
+    if sample_size is not None and sample_size < 1:
+        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
+    if mode == "envelope" and sample_size is None:
+        sample_size = 20000
+    if n == 1:
+        return DistortionReport(
             n, mode, 0, 1.0, ("", ""), 1.0, ("", ""), 1.0, scale1, sample_size, seed,
-            round((time.perf_counter() - start) * 1000, 3),
+            _elapsed_ms(start),
         )
-        return report
-    if mode == "exact":
-        return _exact_audit(n, sample_size, seed, scale1, threads, max_bfs_degree, start)
-    return _envelope_audit(n, sample_size or 20000, seed, scale1, start)
-
-
-def _exact_audit(n, sample_size, seed, scale1, threads, max_bfs_degree, start):
-    table = bfs_distances(n, max_degree=max_bfs_degree)
-    perms = list(all_permutations(n))
-    arr = np.array([p.images for p in perms], dtype=np.int64)
-    grids = _grids_matrix(arr)
-    profs = _profiles_matrix(perms)
-    size = len(perms)
-    # word[i, j] = d(p_i, p_j) = |p_j p_i^-1|, i.e. row j reindexed by p_i^-1
-    inv_rows = np.argsort(arr, axis=1)
-    word = np.empty((size, size), dtype=np.int64)
-    for i in range(size):
-        word[i] = table.dist[rank_rows(arr[:, inv_rows[i]])]
-
-    if sample_size is not None:
-        rng = np.random.default_rng(seed)
-        ii = rng.integers(0, size, sample_size)
-        jj = rng.integers(0, size - 1, sample_size)
-        jj = np.where(jj >= ii, jj + 1, jj)
-        emb = (
-            scale1 * np.abs(grids[ii] - grids[jj]).sum(axis=1)
-            + np.abs(profs[ii] - profs[jj]).sum(axis=1)
-        )
-        d = word[ii, jj]
-        exp_idx = int((emb / d).argmax())
-        con_idx = int((d / emb).argmax())
-        max_exp = float((emb / d).max())
-        max_con = float((d / emb).max())
-        exp_wit = (str(perms[ii[exp_idx]]), str(perms[jj[exp_idx]]))
-        con_wit = (str(perms[ii[con_idx]]), str(perms[jj[con_idx]]))
-        checked = sample_size
-    else:
-        chunks = [range(lo, min(lo + 64, size)) for lo in range(0, size, 64)]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(
-                    lambda r: _scan_chunk(r, grids, profs, word, scale1), chunks
-                ))
-        else:
-            results = [_scan_chunk(r, grids, profs, word, scale1) for r in chunks]
-        checked = sum(r[0] for r in results)
-        max_exp, exp_wit = -1.0, (0, 0)
-        max_con, con_wit = -1.0, (0, 0)
-        for _, e, ew, c, cw in results:
-            if e > max_exp:
-                max_exp, exp_wit = e, ew
-            if c > max_con:
-                max_con, con_wit = c, cw
-        exp_wit = (str(perms[exp_wit[0]]), str(perms[exp_wit[1]]))
-        con_wit = (str(perms[con_wit[0]]), str(perms[con_wit[1]]))
-
-    return DistortionReport(
-        n, "exact", checked, max_exp, exp_wit, max_con, con_wit,
-        max_exp * max_con, scale1, sample_size, seed,
-        round((time.perf_counter() - start) * 1000, 3),
-    )
-
-
-def _envelope_audit(n, sample_size, seed, scale1, start):
     rng = np.random.default_rng(seed)
-    p_rows = np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64)
-    q_rows = np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64)
-    sigma = np.take_along_axis(q_rows, np.argsort(p_rows, axis=1), axis=1)
-    sums, diams = formula_terms_batch(sigma)
-    d_lo = (sums + diams).min(axis=1) / 3.0
-    d_hi = (6 * sums + 2 * diams).min(axis=1).astype(np.float64)
-    if (d_lo > d_hi).any():
-        raise PropertyViolation("envelope bracket inverted: d_lo > d_hi")
-    same = d_lo == 0  # identical pair sampled; skip ratio there
-    perms_p = [Permutation(n, tuple(row)) for row in p_rows]
-    perms_q = [Permutation(n, tuple(row)) for row in q_rows]
-    emb = np.empty(sample_size)
-    chunk = max(1, 2_000_000 // (n * n))
-    for lo in range(0, sample_size, chunk):
-        hi = min(lo + chunk, sample_size)
-        g1 = _grids_matrix(p_rows[lo:hi])
-        g2 = _grids_matrix(q_rows[lo:hi])
-        emb[lo:hi] = scale1 * np.abs(g1 - g2).sum(axis=1)
-    for i in range(sample_size):
-        emb[i] += interval_profile(perms_p[i]).distance(interval_profile(perms_q[i]))
-    keep = ~same
-    if not keep.any():
+    pairs_per_row = 1
+    if mode == "exact":
+        table = bfs_distances(n, max_degree=max_bfs_degree)
+        elements = np.fromiter(
+            itertools.chain.from_iterable(p.images for p in all_permutations(n)), dtype=np.int8
+        ).reshape(-1, n)
+        size = len(elements)
+        if sample_size is None:
+            sigma = elements[1:]  # rank 0 is the identity
+            pairs_per_row = size
+        else:
+            ii = rng.integers(0, size, sample_size)
+            jj = rng.integers(0, size - 1, sample_size)
+            jj = np.where(jj >= ii, jj + 1, jj)
+            sigma = _quotients(elements[ii], elements[jj])
+        d_lo = d_hi = table.dist[rank_rows(sigma)].astype(np.float64)
+    else:
+        p_rows = np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64)
+        q_rows = np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64)
+        sigma = _quotients(p_rows, q_rows)
+        sums, diams = formula_terms_batch(sigma)
+        d_lo = (sums + diams).min(axis=1) / 3.0
+        d_hi = (6 * sums + 2 * diams).min(axis=1).astype(np.float64)
+        if (d_lo > d_hi).any():
+            raise PropertyViolation("envelope bracket inverted: d_lo > d_hi")
+
+    distinct = d_lo > 0  # false only where a sampled pair repeats an element
+    if not distinct.any():
         raise PropertyViolation("all sampled pairs were identical; increase sample_size")
-    exp_ratios = np.where(keep, emb / np.maximum(d_lo, 1e-300), -1.0)
-    con_ratios = np.where(keep, d_hi / np.maximum(emb, 1e-300), -1.0)
+    emb = identity_distances(sigma, scale1)
+    collapsed = np.flatnonzero(distinct & (emb == 0))
+    if len(collapsed):
+        p, q = _witness(sigma[collapsed[0]])
+        raise PropertyViolation(f"the combined embedding maps distinct elements {p} and {q} to one point")
+    exp_ratios = np.where(distinct, emb / np.maximum(d_lo, 1e-300), -1.0)
+    con_ratios = np.where(distinct, d_hi / np.maximum(emb, 1e-300), -1.0)
     ei, ci = int(exp_ratios.argmax()), int(con_ratios.argmax())
     return DistortionReport(
-        n, "envelope", int(keep.sum()),
-        float(exp_ratios[ei]), (str(perms_p[ei]), str(perms_q[ei])),
-        float(con_ratios[ci]), (str(perms_p[ci]), str(perms_q[ci])),
+        n, mode, pairs_per_row * int(distinct.sum()),
+        float(exp_ratios[ei]), _check_witness(sigma[ei], emb[ei], scale1),
+        float(con_ratios[ci]), _check_witness(sigma[ci], emb[ci], scale1),
         float(exp_ratios[ei] * con_ratios[ci]), scale1, sample_size, seed,
-        round((time.perf_counter() - start) * 1000, 3),
+        _elapsed_ms(start),
     )
 
 
@@ -307,34 +247,40 @@ def cube_audit(
 ) -> CubeAuditReport:
     """Audit the bit-vector embedding against the formula bracket.
 
-    Checks h/..-proportional bounds via d_lo = F/3 and d_hi = min(6s+2d),
-    verifies the displacement sum is uniquely minimized at shift 0 on every
-    pair, and (when the degree is BFS-feasible) compares with exact
-    distances.
+    h(e)^-1 h(d) = h(e xor d), so each pair is scored as the single vector
+    x = e xor d: the exhaustive audit runs the 2^n - 1 nonzero x, each
+    standing for the 2^n ordered pairs (e, e xor x).  Checks
+    h/..-proportional bounds via d_lo = F/3 and d_hi = min(6s+2d), verifies
+    the displacement sum is uniquely minimized at shift 0 on every pair, and
+    (when the degree is BFS-feasible) compares with exact distances.
     """
     start = time.perf_counter()
+    if n < 1:
+        raise ValueError(f"cube dimension must be >= 1, got {n}")
+    if sample_size is not None and sample_size < 1:
+        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     degree = 4 * n * n
     if sample_size is None:
         if 2 ** n > 64:
             raise ResourceLimitError(
-                f"full pair grid over 2^{n} vectors is infeasible; pass sample_size"
+                f"exhaustive audit over 2^{n} - 1 vectors at degree {degree} is infeasible; "
+                "pass sample_size"
             )
-        vectors = [tuple(v) for v in itertools.product((0, 1), repeat=n)]
-        pairs = [(e, dl) for e in vectors for dl in vectors if e != dl]
+        diffs = [v for v in itertools.product((0, 1), repeat=n) if any(v)]
+        pairs = 2 ** n * len(diffs)
     else:
         rng = np.random.default_rng(seed)
-        pairs = []
-        while len(pairs) < sample_size:
-            e = tuple(rng.integers(0, 2, n).tolist())
-            dl = tuple(rng.integers(0, 2, n).tolist())
-            if e != dl:
-                pairs.append((e, dl))
+        diffs = []
+        while len(diffs) < sample_size:
+            e = rng.integers(0, 2, n)
+            dl = rng.integers(0, 2, n)
+            if (e != dl).any():
+                diffs.append(tuple((e ^ dl).tolist()))
+        pairs = sample_size
 
-    emb_p = np.array([hamming_embed(n, e).images for e, _ in pairs], dtype=np.int64)
-    emb_q = np.array([hamming_embed(n, d).images for _, d in pairs], dtype=np.int64)
-    sigma = np.take_along_axis(emb_q, np.argsort(emb_p, axis=1), axis=1)
+    sigma = np.array([hamming_embed(n, x).images for x in diffs], dtype=np.int64)
     sums, diams = formula_terms_batch(sigma, chunk=max(1, 4_000_000 // (degree * degree)))
-    h = np.array([sum(a != b for a, b in zip(e, d)) for e, d in pairs], dtype=np.int64)
+    h = np.array([sum(x) for x in diffs], dtype=np.int64)
     d_lo = (sums + diams).min(axis=1) / 3.0
     d_hi = (6 * sums + 2 * diams).min(axis=1).astype(np.float64)
     if (d_lo > d_hi).any():
@@ -355,9 +301,9 @@ def cube_audit(
         )
 
     return CubeAuditReport(
-        n, degree, len(pairs), ratio_lo, ratio_hi, ratio_hi / ratio_lo,
+        n, degree, pairs, ratio_lo, ratio_hi, ratio_hi / ratio_lo,
         minimizer_ok, exact_checked, sandwich_ok, seed,
-        round((time.perf_counter() - start) * 1000, 3),
+        _elapsed_ms(start),
     )
 
 
@@ -381,6 +327,7 @@ class DriftSeries:
         return np.array([s.mean for s in self.series])
 
     def to_json_dict(self) -> dict:
+        slope = drift_slope(self)
         return {
             "version": __version__,
             "n": self.n,
@@ -389,7 +336,7 @@ class DriftSeries:
             "seed": self.seed,
             "proxy": self.proxy,
             "series": [{"t": s.t, "mean": s.mean, "stderr": s.stderr} for s in self.series],
-            "slope": drift_slope(self),
+            "slope": None if np.isnan(slope) else slope,  # null: fewer than two points to fit
         }
 
 
@@ -412,6 +359,10 @@ def drift_walk(
         raise ValueError(f"unknown proxy {proxy!r}")
     if n < 2:
         raise ValueError("the walk needs both generators, so degree >= 2")
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     table = bfs_distances(n, max_degree=max_bfs_degree) if proxy == "bfs" else None
     rng = np.random.default_rng(seed)
     states = np.tile(np.arange(n, dtype=np.int64), (trials, 1))

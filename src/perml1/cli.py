@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -61,7 +60,7 @@ def _write(text: str, out: str) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _parse_perm(text: str, expect_n: Optional[int] = None) -> Permutation:
@@ -155,7 +154,6 @@ def cmd_audit(args) -> int:
         sample_size=args.sample_size,
         seed=args.seed,
         scale1=args.scale1,
-        threads=args.threads,
         max_bfs_degree=max_degree,
     )
     payload = report.to_json_dict()
@@ -243,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--sample-size", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--scale1", type=float, default=DEFAULT_GRID_SCALE)
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     sub.add_argument("--force", action="store_true")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     _add_out(sub)

@@ -24,7 +24,7 @@ __all__ = [
     "CircleGrid", "IntervalKey", "SparseVector", "CombinedPoint",
     "circle_grid", "circle_grid_distance", "realize_grid", "realized_distance",
     "intervals", "interior_contains_zero", "interval_profile", "profile_distance",
-    "combined_embed", "combined_distance",
+    "combined_embed", "combined_distance", "identity_distances",
     "circle_median", "avg_vs_min_check", "count_separating_intervals",
 ]
 
@@ -38,6 +38,9 @@ INTERIOR_MARGIN = 1
 # Scale applied to the grid distance in the combined embedding: the grid
 # distance lies in [4*S, 4*pi*S], so 1/(4*pi) normalizes it into [S/pi, S].
 DEFAULT_GRID_SCALE = 1.0 / (4.0 * math.pi)
+
+# Rows per chunk in identity_distances: its temporaries stay a few MB.
+_ROWS_PER_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,42 @@ def combined_distance(a: CombinedPoint, b: CombinedPoint) -> float:
     if a.scale1 != b.scale1:
         raise ValueError(f"scale mismatch: {a.scale1} vs {b.scale1}")
     return a.scale1 * circle_grid_distance(a.grid, b.grid) + profile_distance(a.sparse, b.sparse)
+
+
+def identity_distances(sigma: np.ndarray, scale1: float = DEFAULT_GRID_SCALE) -> np.ndarray:
+    """Combined distance from the identity to each one-line row, (m, n) -> (m,),
+    by closed forms of `combined_distance(combined_embed(id), combined_embed(s))`:
+
+    * grid: entry (k, r) of the two grids differs by the rotation a_k - a_r
+      with a = s - id mod n, so the distance is h^T K h, where h is the
+      histogram of a and K[a, b] = 2|sin(pi (a - b) / n)|.
+    * profile: a key's first value fixes the interval's start (the inverse is
+      injective), so no keys collide, every coordinate is 1/n and the
+      distance is 2 (N_kept - common) / n.  Interval (start, length) is kept
+      iff length <= cap(start), with cap(0) = n and cap(u) = n - u + 1.  The
+      identity's kept key at start v matches the interval of s at start u iff
+      s^-1(u) = v and s^-1 steps by +1 along it, so
+      common = sum_u min(run(u), cap(u), cap(s^-1(u))), where run(u) <= n is
+      the length of the unit-step run of s^-1 starting at u.
+    """
+    m, n = np.shape(sigma)
+    k = np.arange(n)
+    kernel = 2.0 * np.abs(np.sin(np.pi * np.subtract.outer(k, k) / n))
+    cap = np.minimum(n - k + 1, n)
+    out = np.empty(m)
+    for lo in range(0, m, _ROWS_PER_CHUNK):
+        rows = np.asarray(sigma[lo:lo + _ROWS_PER_CHUNK], dtype=np.int64)
+        cells = (rows - k) % n + n * np.arange(len(rows))[:, None]
+        hist = np.bincount(cells.ravel(), minlength=cells.size).reshape(-1, n).astype(np.float64)
+        grid = ((hist @ kernel) * hist).sum(axis=1)
+        inv = np.argsort(rows, axis=1)
+        doubled = np.concatenate([inv, inv], axis=1)  # wrap-free runs
+        breaks = np.where(np.diff(doubled, axis=1) % n == 1, 2 * n - 1, np.arange(2 * n - 1))
+        next_break = np.minimum.accumulate(breaks[:, ::-1], axis=1)[:, ::-1]
+        run = np.minimum(next_break[:, :n] - k + 1, n)
+        common = np.minimum(np.minimum(run, cap), cap[inv]).sum(axis=1)
+        out[lo:lo + _ROWS_PER_CHUNK] = scale1 * grid + 2.0 * (cap.sum() - common) / n
+    return out
 
 
 def circle_median(n: int, cloud: Sequence[int]) -> tuple[int, int]:

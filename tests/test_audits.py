@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from perml1.audits import (
     CubeAuditReport,
+    PropertyViolation,
     cube_audit,
     distortion_audit,
     drift_slope,
@@ -10,8 +13,8 @@ from perml1.audits import (
     hamming_embed,
 )
 from perml1.embed import combined_distance, combined_embed
-from perml1.metric import ResourceLimitError
-from perml1.perms import Permutation, all_permutations, compose
+from perml1.metric import ResourceLimitError, formula_terms_batch
+from perml1.perms import Permutation, all_permutations, compose, inverse
 
 
 class TestDistortionExact:
@@ -51,11 +54,25 @@ class TestDistortionExact:
         assert a.expansion_witness == b.expansion_witness
         assert a.pairs_checked == 500
 
-    def test_threads_agree_with_single(self):
-        solo = distortion_audit(4, threads=1)
-        multi = distortion_audit(4, threads=4)
-        assert solo.distortion == pytest.approx(multi.distortion, rel=0)
-        assert solo.expansion_witness == multi.expansion_witness
+    def test_element_sweep_matches_pair_sweep(self, tables):
+        # the (id, sigma) sweep against every ordered pair scored on its own
+        for n in (3, 4, 5):
+            perms = list(all_permutations(n))
+            points = [combined_embed(p) for p in perms]
+            exp = con = 0.0
+            pairs = 0
+            for p, x in zip(perms, points):
+                for q, y in zip(perms, points):
+                    if p != q:
+                        emb = combined_distance(x, y)
+                        d = tables[n].distance(p, q)
+                        exp, con = max(exp, emb / d), max(con, d / emb)
+                        pairs += 1
+            report = distortion_audit(n)
+            assert report.pairs_checked == pairs
+            assert report.max_expansion == pytest.approx(exp, rel=1e-12)
+            assert report.max_contraction == pytest.approx(con, rel=1e-12)
+            assert report.expansion_witness[0] == str(Permutation.identity(n))
 
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
@@ -64,6 +81,24 @@ class TestDistortionExact:
     def test_single_element_group_is_isometric(self):
         report = distortion_audit(1)
         assert report.distortion == 1.0 and report.pairs_checked == 0
+
+    def test_witness_is_rechecked_against_the_coordinates(self, monkeypatch):
+        from perml1 import audits
+
+        closed_form = audits.identity_distances
+        monkeypatch.setattr(audits, "identity_distances", lambda s, c: closed_form(s, c) * (1 + 1e-6))
+        with pytest.raises(PropertyViolation, match="coordinate distance"):
+            distortion_audit(4)
+
+    def test_degree_two_collapse_is_a_violation(self):
+        # both elements of Sym_2 land on one point, so no distortion exists
+        with pytest.raises(PropertyViolation, match="0,1 and 1,0"):
+            distortion_audit(2)
+
+    @pytest.mark.parametrize("mode", ["exact", "envelope"])
+    def test_sample_size_must_be_positive(self, mode):
+        with pytest.raises(ValueError, match="sample_size"):
+            distortion_audit(5, mode=mode, sample_size=0)
 
 
 class TestDistortionEnvelope:
@@ -136,6 +171,29 @@ class TestCubeAudit:
         with pytest.raises(ResourceLimitError):
             cube_audit(10)
 
+    def test_validation(self):
+        with pytest.raises(ValueError, match="dimension"):
+            cube_audit(0)
+        with pytest.raises(ValueError, match="sample_size"):
+            cube_audit(2, sample_size=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_xor_collapse_matches_pair_enumeration(self, n):
+        vectors = list(itertools.product((0, 1), repeat=n))
+        pairs = [(e, d) for e in vectors for d in vectors if e != d]
+        sigma = np.array([
+            compose(hamming_embed(n, d), inverse(hamming_embed(n, e))).images for e, d in pairs
+        ])
+        sums, diams = formula_terms_batch(sigma)
+        h = np.array([sum(a != b for a, b in zip(e, d)) for e, d in pairs])
+        d_lo = (sums + diams).min(axis=1) / 3.0
+        d_hi = (6 * sums + 2 * diams).min(axis=1)
+        report = cube_audit(n)
+        assert report.pairs_checked == len(pairs)
+        assert report.ratio_lo == (d_lo / (n * h)).min()
+        assert report.ratio_hi == (d_hi / (n * h)).max()
+        assert report.minimizer_at_zero == bool((sums[:, 0] < sums[:, 1:].min(axis=1)).all())
+
 
 class TestDrift:
     def test_starts_at_zero(self):
@@ -167,6 +225,17 @@ class TestDrift:
         b = drift_walk(7, 5, 300, seed=17, proxy="bfs")
         # same seed, same walk: F/3 never exceeds the exact distance
         assert (a.means() <= b.means() + 1e-9).all()
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="trials"):
+            drift_walk(8, 2, 0)
+        with pytest.raises(ValueError, match="horizon"):
+            drift_walk(8, -1, 4)
+
+    def test_short_series_has_null_slope(self):
+        series = drift_walk(8, 2, 16, seed=0)
+        assert np.isnan(drift_slope(series))
+        assert series.to_json_dict()["slope"] is None
 
     def test_slope_of_clean_power_law(self):
         from perml1.audits import DriftSeries, DriftStep

@@ -99,7 +99,7 @@ class TestEmbed:
 
 class TestAudit:
     def test_exact_json(self, capsys):
-        code, out, _ = run_cli(capsys, "audit", "--n", "3", "--mode", "exact", "--threads", "1")
+        code, out, _ = run_cli(capsys, "audit", "--n", "3", "--mode", "exact")
         data = json.loads(out)
         assert code == 0
         assert data["distortion"] <= 1000
@@ -108,7 +108,7 @@ class TestAudit:
 
     def test_seeded_determinism_modulo_walltime(self, capsys):
         args = ("audit", "--n", "4", "--mode", "exact", "--sample-size", "200",
-                "--seed", "7", "--threads", "1")
+                "--seed", "7")
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         d1, d2 = json.loads(out1), json.loads(out2)
@@ -116,10 +116,25 @@ class TestAudit:
         assert d1 == d2
 
     def test_csv_summary(self, capsys):
-        code, out, _ = run_cli(capsys, "audit", "--n", "3", "--format", "csv", "--threads", "1")
+        code, out, _ = run_cli(capsys, "audit", "--n", "3", "--format", "csv")
         rows = list(csv.reader(io.StringIO(out)))
         assert code == 0 and len(rows) == 2
         assert "distortion" in rows[0]
+
+    def test_degree_two_exits_with_property_failure(self, capsys):
+        code, out, err = run_cli(capsys, "audit", "--n", "2")
+        assert code == 2 and out == ""
+        assert "property failure" in err and "0,1 and 1,0" in err
+
+    def test_zero_sample_size_exits_with_validation_error(self, capsys):
+        code, _, err = run_cli(capsys, "audit", "--n", "5", "--sample-size", "0")
+        assert code == 1 and "sample_size must be >= 1" in err
+
+    def test_zero_envelope_sample_size_exits_with_validation_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "audit", "--n", "5", "--mode", "envelope", "--sample-size", "0"
+        )
+        assert code == 1 and "sample_size must be >= 1" in err
 
 
 class TestCube:
@@ -130,6 +145,10 @@ class TestCube:
         assert data["minimizer_at_zero"] is True
         assert data["exact_sandwich_ok"] is True
         assert data["degree"] == 4
+
+    def test_zero_dimension_exits_with_validation_error(self, capsys):
+        code, _, err = run_cli(capsys, "cube", "--n", "0")
+        assert code == 1 and "cube dimension must be >= 1" in err
 
 
 class TestDrift:
@@ -150,6 +169,15 @@ class TestDrift:
         )
         rows = list(csv.reader(io.StringIO(out)))
         assert code == 0 and len(rows) == 1 + 4
+
+    def test_short_walk_prints_null_slope(self, capsys):
+        code, out, _ = run_cli(capsys, "drift", "--n", "8", "--horizon", "2", "--trials", "16")
+        data = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-JSON {name}"))
+        assert code == 0 and data["slope"] is None
+
+    def test_zero_trials_exits_with_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "drift", "--n", "8", "--horizon", "2", "--trials", "0")
+        assert code == 1 and out == "" and "trials must be >= 1" in err
 
     def test_bfs_proxy_guard(self, capsys):
         code, _, err = run_cli(

@@ -16,6 +16,7 @@ from perml1.embed import (
     combined_distance,
     combined_embed,
     count_separating_intervals,
+    identity_distances,
     interval_profile,
     profile_distance,
     realize_grid,
@@ -278,6 +279,41 @@ class TestCombined:
                 scaled = DEFAULT_GRID_SCALE * circle_grid_distance(circle_grid(p), circle_grid(q))
                 assert t1 / math.pi - 1e-9 <= scaled <= t1 + 1e-9
 
+
+
+class TestIdentityDistances:
+    """The closed form against the coordinate embeddings, by right-invariance:
+    d(p, q) = d(id, q p^-1)."""
+
+    @staticmethod
+    def closed_form(pairs, scale1=DEFAULT_GRID_SCALE):
+        sigma = np.array([compose(q, inverse(p)).images for p, q in pairs], dtype=np.int64)
+        return identity_distances(sigma, scale1)
+
+    @pytest.mark.parametrize("n", range(1, 6))  # n = 5 spans several chunks
+    def test_exhaustive_pairs(self, n):
+        perms = list(all_permutations(n))
+        points = [combined_embed(p) for p in perms]
+        pairs = [(p, q) for p in perms for q in perms]
+        want = np.array([combined_distance(x, y) for x in points for y in points])
+        assert np.allclose(self.closed_form(pairs), want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [13, 20, 40])
+    def test_seeded_pairs(self, n):
+        rng = np.random.default_rng(n)
+        pairs = [
+            tuple(Permutation(n, tuple(int(x) for x in rng.permutation(n))) for _ in range(2))
+            for _ in range(60)
+        ]
+        scale1 = 0.3
+        want = [
+            combined_distance(combined_embed(p, scale1), combined_embed(q, scale1)) for p, q in pairs
+        ]
+        assert np.allclose(self.closed_form(pairs, scale1), want, rtol=1e-12, atol=0)
+
+    def test_degree_two_collapses(self):
+        # no interval has an interior and the grid of t is a rotation of id's
+        assert identity_distances(np.array([[0, 1], [1, 0]])).tolist() == [0.0, 0.0]
 
 class TestCircleMedian:
     def test_singleton(self):
