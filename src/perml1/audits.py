@@ -261,7 +261,7 @@ def cube_audit(
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     degree = 4 * n * n
     if sample_size is None:
-        if 2 ** n > 64:
+        if 2 ** n > 256:
             raise ResourceLimitError(
                 f"exhaustive audit over 2^{n} - 1 vectors at degree {degree} is infeasible; "
                 "pass sample_size"
@@ -279,7 +279,7 @@ def cube_audit(
         pairs = sample_size
 
     sigma = np.array([hamming_embed(n, x).images for x in diffs], dtype=np.int64)
-    sums, diams = formula_terms_batch(sigma, chunk=max(1, 4_000_000 // (degree * degree)))
+    sums, diams = formula_terms_batch(sigma)
     h = np.array([sum(x) for x in diffs], dtype=np.int64)
     d_lo = (sums + diams).min(axis=1) / 3.0
     d_hi = (6 * sums + 2 * diams).min(axis=1).astype(np.float64)
@@ -384,7 +384,7 @@ def drift_walk(
         if proxy == "bfs":
             values = table.dist[rank_rows(states)].astype(np.float64)
         else:
-            sums, diams = formula_terms_batch(states, chunk=max(1, 4_000_000 // (n * n)))
+            sums, diams = formula_terms_batch(states)
             values = (sums + diams).min(axis=1) / 3.0
         mean = float(values.mean())
         stderr = float(values.std(ddof=1) / sqrt(trials)) if trials > 1 else 0.0

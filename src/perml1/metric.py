@@ -36,6 +36,10 @@ __all__ = [
 
 BFS_DEGREE_GUARD = 10
 
+# Byte budget for the largest temporary of formula_terms_batch, the doubled
+# shift masks of one block of rows: it stays a few MB at any degree.
+_FORMULA_BLOCK_BYTES = 1 << 23
+
 
 class ResourceLimitError(RuntimeError):
     """Raised when an exact computation would exceed the configured budget."""
@@ -62,6 +66,8 @@ class DistanceTable:
 def rank_rows(perms: np.ndarray) -> np.ndarray:
     """Lehmer ranks of a batch of one-line rows, shape (m, n) -> (m,)."""
     m, n = perms.shape
+    if n > 20:
+        raise ValueError(f"Lehmer ranks of Sym_{n} reach {n}! - 1, which overflows int64 (degree <= 20)")
     rank = np.zeros(m, dtype=np.int64)
     for i in range(n - 1):
         smaller = (perms[:, i + 1:] < perms[:, i:i + 1]).sum(axis=1)
@@ -202,36 +208,77 @@ def split_check(p: Permutation, q: Permutation) -> SplitCheck:
     return SplitCheck(joint, bound, joint <= bound)
 
 
+def _words(mask: int, count: int) -> list[int]:
+    """The low `count` 64-bit words of a bit mask, least significant first."""
+    return [(mask >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(count)]
+
+
 def formula_terms_batch(perms: np.ndarray, chunk: int = 1024) -> tuple[np.ndarray, np.ndarray]:
     """Per-shift sum and diameter terms for a batch of one-line rows.
 
     Returns (sums, diams), each of shape (m, n) with column l holding the
     shift-l term.  Matches formula_length exactly; used by audits and walks
     where per-permutation Python loops would dominate.
+
+    Both terms depend on a row only through its displacements
+    d(k) = p(k) - k mod n:
+
+    - Sum term, histogram times circulant: sums = hist @ C, where hist[d]
+      counts the k with d(k) = d and C[d, l] = dist0[(d + l) mod n].
+    - Diameter term, shift masks: shift l matches exactly the positions q
+      with d(q) = -l mod n, so its member set M_l (mismatches plus {0, l})
+      is an n-bit mask.  A pair of members at cycle distance v exists iff
+      M_l & rot_v(M_l) != 0, with rot_v(M) bit j = M bit (j + v) mod n, so
+      the diameter is the largest v <= n // 2 passing that test (0 if
+      none).  Masks span ceil(n / 64) uint64 words; each is stored twice
+      over ("doubled": bits q and q + n) so that rot_v is a plain right
+      shift by v.  v is scanned downward, dropping decided entries.
+
+    Rows are processed in blocks of at most `chunk` rows, fewer where the
+    doubled masks of a block would exceed _FORMULA_BLOCK_BYTES.
     """
     perms = np.asarray(perms, dtype=np.int64)
     m, n = perms.shape
-    sums = np.zeros((m, n), dtype=np.int64)
-    diams = np.zeros((m, n), dtype=np.int64)
-    if n == 1:
-        return sums, diams
-    k_idx = np.arange(n)
-    l_idx = np.arange(n)
-    dist0 = np.minimum(np.arange(n), n - np.arange(n))
+    pos = np.arange(n)
+    disp = (perms - pos) % n
+    dist0 = np.minimum(pos, n - pos)
+    circulant = dist0[(pos[:, None] + pos[None, :]) % n]
+    hist = np.bincount((np.arange(m)[:, None] * n + disp).ravel(), minlength=m * n)
+    # float64 products and sums of integers below 2**53 are exact, and use BLAS
+    sums = (hist.reshape(m, n).astype(np.float64) @ circulant).astype(np.int64)
+
     half = n // 2
-    v_idx = np.arange(1, half + 1)
-    shifted_pos = (k_idx[None, :] + v_idx[:, None]) % n  # (half, n)
-    for lo in range(0, m, chunk):
-        rows = perms[lo:lo + chunk]
-        # sums[l] = sum_k dist0[(p[k] + l - k) mod n]
-        offsets = (rows[:, None, :] + l_idx[None, :, None] - k_idx[None, None, :]) % n
-        sums[lo:lo + chunk] = dist0[offsets].sum(axis=2)
-        # membership of the shift-l mismatch set, with 0 and l adjoined
-        member = rows[:, None, :] != (k_idx[None, None, :] - l_idx[None, :, None]) % n
-        member[:, :, 0] = True
-        member[:, l_idx, l_idx] = True
-        # a pair at cycle distance v exists iff member AND member-rotated-by-v overlap
-        pair_at_v = member[:, :, None, :] & member[:, :, shifted_pos]
-        exists = pair_at_v.any(axis=3)  # (b, n_l, half)
-        diams[lo:lo + chunk] = (exists * v_idx[None, None, :]).max(axis=2)
-    return sums, diams
+    words = -(-n // 64)
+    dwords = words + half // 64 + 1  # a rot_v window for v <= half reads no further
+    low = np.array(_words((1 << n) - 1, words), dtype=np.uint64)
+    full = np.array(_words((1 << 2 * n) - 1, dwords), dtype=np.uint64)
+    # {0, l} doubled: multiplying by 1 + 2**n copies bits q < n to q + n
+    pinned = np.array([_words((1 | 1 << l) * (1 | 1 << n), dwords) for l in range(n)], dtype=np.uint64)
+    bits = np.concatenate([pos, pos + n])
+    bits = bits[bits < 64 * dwords]
+    bit_values = np.left_shift(np.uint64(1), (bits % 64).astype(np.uint64))
+    neg = (-disp) % n  # the one shift each position matches
+    diams = np.zeros(m * n, dtype=np.int64)
+    block = max(1, min(chunk, _FORMULA_BLOCK_BYTES // (8 * n * dwords)))
+    for lo in range(0, m, block):
+        b = min(block, m - lo)
+        entries = np.arange(lo * n, (lo + b) * n)
+        doubled = np.tile(full, b * n)
+        slots = (np.arange(b)[:, None] * n + neg[lo:lo + b, bits % n]) * dwords + bits // 64
+        # each bit is set once in `full`, so subtracting a matched bit clears it
+        np.subtract.at(doubled, slots.ravel(), np.tile(bit_values, b))
+        doubled = (doubled.reshape(b, n, dwords) | pinned).reshape(b * n, dwords)
+        member = doubled[:, :words] & low
+        for v in range(half, 0, -1):
+            s, r = divmod(v, 64)
+            # numpy defines a uint64 shift by 64 as 0, which r = 0 relies on
+            window = (doubled[:, s:s + words] >> np.uint64(r)
+                      | doubled[:, s + 1:s + words + 1] << np.uint64(64 - r))
+            hit = (window & member).any(axis=1)
+            if hit.any():
+                diams[entries[hit]] = v
+                keep = ~hit
+                entries, doubled, member = entries[keep], doubled[keep], member[keep]
+                if not len(entries):
+                    break
+    return sums, diams.reshape(m, n)

@@ -167,6 +167,12 @@ class TestCubeAudit:
         assert report.pairs_checked == 60
         assert report.minimizer_at_zero
 
+    def test_exhaustive_at_degree_196(self):
+        report = cube_audit(7)
+        assert report.degree == 196
+        assert report.pairs_checked == 2 ** 7 * (2 ** 7 - 1)
+        assert report.minimizer_at_zero
+
     def test_guard_without_sampling(self):
         with pytest.raises(ResourceLimitError):
             cube_audit(10)

@@ -1,8 +1,12 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from perml1 import metric
 from perml1.metric import (
     ResourceLimitError,
     bfs_distances,
@@ -183,10 +187,54 @@ class TestBatch:
             assert sums[i].tolist() == [t.sum for t in fb.per_shift]
             assert diams[i].tolist() == [t.diam for t in fb.per_shift]
 
+    @staticmethod
+    def _assert_matches_scalar(rows):
+        sums, diams = formula_terms_batch(rows)
+        for row, row_sums, row_diams in zip(rows, sums, diams):
+            fb = formula_length(Permutation(len(row), tuple(int(x) for x in row)))
+            assert row_sums.tolist() == [t.sum for t in fb.per_shift]
+            assert row_diams.tolist() == [t.diam for t in fb.per_shift]
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+    def test_matches_pure_python_at_word_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        near_rotations = []
+        for _ in range(2):
+            row = np.roll(np.arange(n), rng.integers(n))
+            i, j = rng.choice(n, 2, replace=False)
+            row[[i, j]] = row[[j, i]]
+            near_rotations.append(row)
+        rows = np.array([rng.permutation(n), rng.permutation(n), np.arange(n)] + near_rotations)
+        self._assert_matches_scalar(rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 130).flatmap(lambda n: st.permutations(range(n))))
+    def test_matches_pure_python_property(self, images):
+        self._assert_matches_scalar(np.array([images]))
+
+    def test_blocking_does_not_change_result(self, perm_arrays, monkeypatch):
+        rng = np.random.default_rng(0)
+        for rows in (perm_arrays[5], np.array([rng.permutation(70) for _ in range(9)])):
+            default = formula_terms_batch(rows)
+            for chunk in (1, 4):
+                sums, diams = formula_terms_batch(rows, chunk=chunk)
+                assert (sums == default[0]).all() and (diams == default[1]).all()
+            with monkeypatch.context() as patch:
+                patch.setattr(metric, "_FORMULA_BLOCK_BYTES", 1)  # one row per block
+                sums, diams = formula_terms_batch(rows)
+            assert (sums == default[0]).all() and (diams == default[1]).all()
+
     def test_rank_rows_matches_perm_rank(self, perm_arrays):
         arr = perm_arrays[6]
         ranks = rank_rows(arr)
         assert ranks.tolist() == [perm_rank(p) for p in all_permutations(6)]
+
+    def test_rank_rows_top_rank_at_degree_20(self):
+        assert rank_rows(np.arange(20)[None, ::-1]).tolist() == [math.factorial(20) - 1]
+
+    def test_rank_rows_rejects_int64_overflow(self):
+        with pytest.raises(ValueError, match="Sym_21"):
+            rank_rows(np.arange(21)[None, :])
 
 
 class TestSandwich:
