@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
-from typing import Optional, Sequence
+from contextlib import contextmanager
+from typing import Iterator, Optional, Sequence, TextIO
 
 from . import __version__
 from .audits import (
@@ -51,12 +51,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _write(text: str, out: str) -> None:
+@contextmanager
+def _opened(out: str) -> Iterator[TextIO]:
+    """stdout for "-", else the file `out`, which is closed on exit."""
     if out == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write(text: str, out: str) -> None:
+    with _opened(out) as fh:
+        fh.write(text)
 
 
 def _json_text(obj) -> str:
@@ -77,12 +84,11 @@ def _add_out(sub) -> None:
 def cmd_oracle(args) -> int:
     max_degree = args.n if args.force else BFS_DEGREE_GUARD
     table = bfs_distances(args.n, max_degree=max_degree)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["perm", "dist"])
-    for rank, p in enumerate(all_permutations(args.n)):
-        writer.writerow([str(p), int(table.dist[rank])])
-    _write(buf.getvalue(), args.out)
+    with _opened(args.out) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["perm", "dist"])
+        # all_permutations runs in Lehmer-rank order, the order of table.dist
+        writer.writerows(zip(map(str, all_permutations(args.n)), table.dist.tolist()))
     return EXIT_OK
 
 
@@ -110,7 +116,7 @@ def cmd_synth(args) -> int:
         if eval_word(cert.word) != p:
             raise PropertyViolation("synthesized word does not evaluate to its target")
         out["eval_ok"] = True
-        if p.n <= min(BFS_DEGREE_GUARD, 9):  # keep one-off checks snappy
+        if p.n <= BFS_DEGREE_GUARD:
             floor = bfs_distances(p.n)[p]
             out["bfs_distance"] = floor
             if cert.length < floor:
@@ -158,12 +164,9 @@ def cmd_audit(args) -> int:
     )
     payload = report.to_json_dict()
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
         keys = sorted(k for k in payload if k not in ("expansion_witness", "contraction_witness", "envelope_note"))
-        writer.writerow(keys)
-        writer.writerow([payload[k] for k in keys])
-        _write(buf.getvalue(), args.out)
+        with _opened(args.out) as fh:
+            csv.writer(fh).writerows([keys, [payload[k] for k in keys]])
     else:
         _write(_json_text(payload), args.out)
     return EXIT_OK
@@ -191,12 +194,10 @@ def cmd_drift(args) -> int:
         max_bfs_degree=max_degree,
     )
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["t", "mean", "stderr"])
-        for step in series.series:
-            writer.writerow([step.t, step.mean, step.stderr])
-        _write(buf.getvalue(), args.out)
+        with _opened(args.out) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "mean", "stderr"])
+            writer.writerows([step.t, step.mean, step.stderr] for step in series.series)
     else:
         _write(_json_text(series.to_json_dict()), args.out)
     return EXIT_OK

@@ -36,6 +36,9 @@ __all__ = [
 
 BFS_DEGREE_GUARD = 10
 
+# Largest BFS level the int8 distance table can hold.
+_MAX_LEVEL = np.iinfo(np.int8).max
+
 # Byte budget for the largest temporary of formula_terms_batch, the doubled
 # shift masks of one block of rows: it stays a few MB at any degree.
 _FORMULA_BLOCK_BYTES = 1 << 23
@@ -50,7 +53,7 @@ class DistanceTable:
     """Word lengths of all of Sym_n, indexed by Lehmer rank."""
 
     n: int
-    dist: np.ndarray  # shape (n!,), int32
+    dist: np.ndarray  # shape (n!,), int8: the diameter is 45 at n = 10
 
     def __getitem__(self, p: Permutation) -> int:
         return int(self.dist[perm_rank(p)])
@@ -87,34 +90,78 @@ def generator_neighbors_rows(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return tp, cp, cinvp
 
 
+def _rank_deltas(pos: np.ndarray) -> np.ndarray:
+    """Lehmer-rank change of t*p, c*p and c^-1*p, shape (3, m).
+
+    Takes inverse rows pos (pos[v] = position of value v in p).  With
+    fact[i] = (n-1-i)!, the weight of Lehmer digit i, and
+    prefix[a] = sum(fact[:a]):
+
+    - t swaps the values 0 and 1, which changes only the digits at their
+      positions a = pos[0], b = pos[1]: +fact[a] if a < b, else -fact[b].
+    - c maps value v to v+1 mod n.  Every digit left of a = pos[n-1] gains
+      one (the new 0 lies to its right) and digit a drops from n-1-a to 0:
+      +prefix[a] - (n-1-a) * fact[a].
+    - c^-1 undoes c: with a = pos[0], -prefix[a] + (n-1-a) * fact[a].
+    """
+    n = pos.shape[1]
+    idx = np.arange(n)
+    fact = np.array([factorial(n - 1 - i) for i in idx], dtype=np.int64)
+    prefix = np.cumsum(fact) - fact
+    swap = np.where(idx[:, None] < idx[None, :], fact[:, None], -fact[None, :])
+    up = prefix - (n - 1 - idx) * fact
+    return np.stack([swap[pos[:, 0], pos[:, 1]], up[pos[:, -1]], -up[pos[:, 0]]])
+
+
 def bfs_distances(n: int, max_degree: int = BFS_DEGREE_GUARD) -> DistanceTable:
     """Exact shortest-path distances from the identity over all of Sym_n.
 
-    Runs a frontier-at-a-time BFS with vectorized rank computation; n! int32
-    entries are held in memory, so the degree is guarded.
+    Runs a frontier-at-a-time BFS in which no row is ranked from scratch.
+    The frontier is kept as inverse rows pos (pos[v] = position of value v)
+    with their Lehmer ranks.  Left multiplication by a generator is a column
+    move on pos (t swaps columns 0 and 1, c rolls them by +1, c^-1 by -1),
+    and each neighbour's rank is its row's rank plus an O(1) delta
+    (_rank_deltas).  The table holds n! int8 entries, so the degree is guarded,
+    and a level beyond 127 raises ResourceLimitError.
     """
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
     if max_degree is not None and n > max_degree:
         raise ResourceLimitError(
             f"BFS over Sym_{n} needs {factorial(n):,} table entries; "
             f"the guard allows degree <= {max_degree} (force to lift it)"
         )
-    size = factorial(n)
-    dist = np.full(size, -1, dtype=np.int32)
-    frontier = np.arange(n, dtype=np.int8).reshape(1, n)
+    dist = np.full(factorial(n), -1, dtype=np.int8)
     dist[0] = 0
+    if n == 1:  # Sym_1 is the identity alone, and t needs two columns
+        return DistanceTable(n, dist)
+    idx = np.arange(n)
+    # the columns of t*p, c*p and c^-1*p, in the order of _rank_deltas
+    moves = np.stack([np.r_[1, 0, idx[2:]], np.roll(idx, 1), np.roll(idx, -1)])
+    pos = idx.astype(np.int8).reshape(1, n)
+    ranks = np.zeros(1, dtype=np.int64)
     level = 0
-    while frontier.size:
-        candidates = np.concatenate(generator_neighbors_rows(frontier), axis=0)
-        ranks = rank_rows(candidates)
-        fresh = dist[ranks] == -1
-        if not fresh.any():
+    while True:
+        candidates = (ranks + _rank_deltas(pos)).ravel()
+        fresh = np.flatnonzero(dist[candidates] == -1)
+        if not len(fresh):
             break
-        ranks = ranks[fresh]
-        candidates = candidates[fresh]
-        ranks, first = np.unique(ranks, return_index=True)
+        # one candidate per new rank; ascending indices group them by generator
+        order = fresh[np.argsort(candidates[fresh])]
+        ranked = candidates[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        chosen = np.sort(order[first])
         level += 1
+        if level > _MAX_LEVEL:
+            raise ResourceLimitError(
+                f"BFS over Sym_{n} passes level {_MAX_LEVEL}, beyond the int8 distance table"
+            )
+        ranks = candidates[chosen]
         dist[ranks] = level
-        frontier = candidates[first]
+        gen, row = np.divmod(chosen, len(pos))
+        groups = np.split(row, np.searchsorted(gen, [1, 2]))
+        pos = np.concatenate([pos[rows][:, move] for rows, move in zip(groups, moves)])
     return DistanceTable(n, dist)
 
 

@@ -27,11 +27,26 @@ class TestOracle:
         assert code == 1
         assert "guard" in err
 
+    def test_degree_zero_writes_nothing(self, capsys, tmp_path):
+        out = tmp_path / "oracle.csv"
+        code, _, err = run_cli(capsys, "oracle", "--n", "0", "--out", str(out))
+        assert code == 1 and "degree must be >= 1" in err
+        assert not out.exists()
+
     def test_file_output(self, capsys, tmp_path):
         target = tmp_path / "oracle.csv"
         code, out, _ = run_cli(capsys, "oracle", "--n", "3", "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_text().startswith("perm,dist")
+
+    def test_file_and_stdout_bytes_agree(self, capsys, tmp_path):
+        target = tmp_path / "oracle.csv"
+        run_cli(capsys, "oracle", "--n", "3", "--out", str(target))
+        code, out, _ = run_cli(capsys, "oracle", "--n", "3")
+        expected = ('perm,dist\r\n"0,1,2",0\r\n"0,2,1",2\r\n"1,0,2",1\r\n'
+                    '"1,2,0",1\r\n"2,0,1",1\r\n"2,1,0",2\r\n')
+        assert code == 0 and out == expected
+        assert target.read_bytes() == expected.encode()
 
 
 class TestFormula:
@@ -68,6 +83,13 @@ class TestSynth:
         assert data["eval_ok"] is True
         assert data["bfs_distance"] == 1
         assert data["length"] <= data["certified_bound"]
+
+    def test_check_at_degree_ten_runs_bfs(self, capsys):
+        code, out, _ = run_cli(capsys, "synth", "--perm", "3,1,4,0,9,2,8,5,7,6", "--check")
+        data = json.loads(out)
+        assert code == 0 and data["eval_ok"] is True
+        assert isinstance(data["bfs_distance"], int)
+        assert data["bfs_distance"] <= data["length"]
 
     def test_without_check(self, capsys):
         code, out, _ = run_cli(capsys, "synth", "--perm", "1,0,3,2")

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from perml1 import metric
 from perml1.metric import (
     ResourceLimitError,
+    _rank_deltas,
     bfs_distances,
     diam_term_min,
     formula_distance,
     formula_length,
     formula_terms_batch,
+    generator_neighbors_rows,
     rank_rows,
     split_check,
     sum_term_min,
@@ -25,6 +27,25 @@ from perml1.perms import (
     inverse,
     perm_rank,
 )
+
+
+def reference_bfs(n):
+    """Frontier BFS that ranks every candidate row from scratch."""
+    dist = np.full(math.factorial(n), -1, dtype=np.int64)
+    frontier = np.arange(n, dtype=np.int8).reshape(1, n)
+    dist[0] = 0
+    level = 0
+    while frontier.size:
+        candidates = np.concatenate(generator_neighbors_rows(frontier), axis=0)
+        ranks = rank_rows(candidates)
+        fresh = dist[ranks] == -1
+        if not fresh.any():
+            break
+        ranks, first = np.unique(ranks[fresh], return_index=True)
+        level += 1
+        dist[ranks] = level
+        frontier = candidates[fresh][first]
+    return dist
 
 
 class TestBfs:
@@ -41,6 +62,29 @@ class TestBfs:
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
             bfs_distances(11)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_reference_bfs(self, n):
+        dist = bfs_distances(n).dist
+        assert dist.dtype == np.int8
+        assert np.array_equal(dist, reference_bfs(n))
+
+    def test_degree_one(self):
+        # Sym_1 has no column 1 for t to swap
+        assert bfs_distances(1).dist.tolist() == [0]
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_degree_below_one(self, n):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            bfs_distances(n)
+
+    def test_level_past_table_range_raises(self, monkeypatch):
+        # the diameter of Sym_5 is 10: a table of 10 levels holds it, 9 do not
+        monkeypatch.setattr(metric, "_MAX_LEVEL", 10)
+        assert bfs_distances(5).dist.max() == 10
+        monkeypatch.setattr(metric, "_MAX_LEVEL", 9)
+        with pytest.raises(ResourceLimitError, match="level 9"):
+            bfs_distances(5)
 
     def test_matches_dict_bfs(self):
         # independent oracle: hash-map BFS over tuples
@@ -237,6 +281,26 @@ class TestBatch:
             rank_rows(np.arange(21)[None, :])
 
 
+def assert_rank_deltas(rows):
+    """t, c and c^-1 change rank_rows by exactly the deltas of _rank_deltas."""
+    pos = np.argsort(rows, axis=1).astype(np.int8)  # pos[v] = position of v
+    deltas = _rank_deltas(pos)
+    ranks = rank_rows(rows)
+    for neighbours, delta in zip(generator_neighbors_rows(rows), deltas):
+        assert np.array_equal(rank_rows(neighbours), ranks + delta)
+
+
+class TestRankDeltas:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_exhaustive(self, n, perm_arrays):
+        assert_rank_deltas(perm_arrays[n])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 20).flatmap(lambda n: st.permutations(range(n))))
+    def test_property_up_to_degree_20(self, images):
+        assert_rank_deltas(np.array([images], dtype=np.int64))
+
+
 class TestSandwich:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_formula_brackets_bfs(self, n, tables, perm_arrays):
@@ -251,8 +315,6 @@ class TestSandwich:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_per_step_stability(self, n, perm_arrays):
         # one generator changes the formula value by at most 3
-        from perml1.metric import generator_neighbors_rows
-
         arr = perm_arrays[n]
         sums, diams = formula_terms_batch(arr)
         value = (sums + diams).min(axis=1)
