@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import isclose, sqrt
 from typing import Optional, Sequence
 
@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .embed import (
     DEFAULT_GRID_SCALE,
+    check_scale1,
     circle_grid,
     circle_grid_distance,
     identity_distances,
@@ -35,6 +36,7 @@ from .metric import (
     ResourceLimitError,
     bfs_distances,
     formula_terms_batch,
+    generator_neighbors_rows,
     rank_rows,
 )
 from .perms import Permutation, all_permutations
@@ -67,21 +69,7 @@ class DistortionReport:
     wall_time_ms: float
 
     def to_json_dict(self) -> dict:
-        out = {
-            "version": __version__,
-            "n": self.n,
-            "mode": self.mode,
-            "pairs_checked": self.pairs_checked,
-            "max_expansion": self.max_expansion,
-            "expansion_witness": list(self.expansion_witness),
-            "max_contraction": self.max_contraction,
-            "contraction_witness": list(self.contraction_witness),
-            "distortion": self.distortion,
-            "scale1": self.scale1,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-            "wall_time_ms": self.wall_time_ms,
-        }
+        out = {"version": __version__, **asdict(self)}
         if self.mode == "envelope":
             out["envelope_note"] = (
                 "certificate computed against the [F/3, min(6*sum+2*diam)] bracket; "
@@ -92,6 +80,15 @@ class DistortionReport:
 
 def _elapsed_ms(start: float) -> float:
     return round((time.perf_counter() - start) * 1000, 3)
+
+
+def _bracket(sums: np.ndarray, diams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The formula bracket [F/3, min(6*sum+2*diam)] of each row's word length."""
+    d_lo = (sums + diams).min(axis=1) / 3.0
+    d_hi = (6 * sums + 2 * diams).min(axis=1).astype(np.float64)
+    if (d_lo > d_hi).any():
+        raise PropertyViolation("formula bracket inverted: F/3 > min(6*sum+2*diam)")
+    return d_lo, d_hi
 
 
 def _quotients(p_rows: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
@@ -140,6 +137,7 @@ def distortion_audit(
         raise ValueError(f"degree must be >= 1, got {n}")
     if sample_size is not None and sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
+    check_scale1(scale1)
     if mode == "envelope" and sample_size is None:
         sample_size = 20000
     if n == 1:
@@ -156,23 +154,21 @@ def distortion_audit(
         ).reshape(-1, n)
         size = len(elements)
         if sample_size is None:
-            sigma = elements[1:]  # rank 0 is the identity
+            # all_permutations runs in Lehmer-rank order, and rank 0 is the identity
+            sigma, ranks = elements[1:], slice(1, None)
             pairs_per_row = size
         else:
             ii = rng.integers(0, size, sample_size)
             jj = rng.integers(0, size - 1, sample_size)
             jj = np.where(jj >= ii, jj + 1, jj)
             sigma = _quotients(elements[ii], elements[jj])
-        d_lo = d_hi = table.dist[rank_rows(sigma)].astype(np.float64)
+            ranks = rank_rows(sigma)
+        d_lo = d_hi = table.dist[ranks].astype(np.float64)
     else:
         p_rows = np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64)
         q_rows = np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64)
         sigma = _quotients(p_rows, q_rows)
-        sums, diams = formula_terms_batch(sigma)
-        d_lo = (sums + diams).min(axis=1) / 3.0
-        d_hi = (6 * sums + 2 * diams).min(axis=1).astype(np.float64)
-        if (d_lo > d_hi).any():
-            raise PropertyViolation("envelope bracket inverted: d_lo > d_hi")
+        d_lo, d_hi = _bracket(*formula_terms_batch(sigma))
 
     distinct = d_lo > 0  # false only where a sampled pair repeats an element
     if not distinct.any():
@@ -224,20 +220,7 @@ class CubeAuditReport:
     wall_time_ms: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "version": __version__,
-            "n": self.n,
-            "degree": self.degree,
-            "pairs_checked": self.pairs_checked,
-            "ratio_lo": self.ratio_lo,
-            "ratio_hi": self.ratio_hi,
-            "certificate": self.certificate,
-            "minimizer_at_zero": self.minimizer_at_zero,
-            "exact_checked": self.exact_checked,
-            "exact_sandwich_ok": self.exact_sandwich_ok,
-            "seed": self.seed,
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return {"version": __version__, **asdict(self)}
 
 
 def cube_audit(
@@ -281,10 +264,7 @@ def cube_audit(
     sigma = np.array([hamming_embed(n, x).images for x in diffs], dtype=np.int64)
     sums, diams = formula_terms_batch(sigma)
     h = np.array([sum(x) for x in diffs], dtype=np.int64)
-    d_lo = (sums + diams).min(axis=1) / 3.0
-    d_hi = (6 * sums + 2 * diams).min(axis=1).astype(np.float64)
-    if (d_lo > d_hi).any():
-        raise PropertyViolation("envelope bracket inverted on a cube pair")
+    d_lo, d_hi = _bracket(sums, diams)
     scaled = n * h
     ratio_lo = float((d_lo / scaled).min())
     ratio_hi = float((d_hi / scaled).max())
@@ -330,12 +310,7 @@ class DriftSeries:
         slope = drift_slope(self)
         return {
             "version": __version__,
-            "n": self.n,
-            "horizon": self.horizon,
-            "trials": self.trials,
-            "seed": self.seed,
-            "proxy": self.proxy,
-            "series": [{"t": s.t, "mean": s.mean, "stderr": s.stderr} for s in self.series],
+            **asdict(self),
             "slope": None if np.isnan(slope) else slope,  # null: fewer than two points to fit
         }
 
@@ -367,25 +342,16 @@ def drift_walk(
     rng = np.random.default_rng(seed)
     states = np.tile(np.arange(n, dtype=np.int64), (trials, 1))
     steps = [DriftStep(0, 0.0, 0.0)]
-    n_choices = 4 if four_step else 3
+    gens = np.concatenate(generator_neighbors_rows(np.arange(n)[None, :]))  # t, c, c^-1
+    if four_step:
+        gens = gens[[0, 0, 1, 2]]
     for t in range(1, horizon + 1):
-        draw = rng.integers(0, n_choices, trials)
-        is_t = draw <= (1 if four_step else 0)
-        is_c = draw == (2 if four_step else 1)
-        is_ci = draw == (3 if four_step else 2)
-        swap_rows = np.where(is_t)[0]
-        sub = states[swap_rows]
-        zeros = sub == 0
-        sub[sub == 1] = 0
-        sub[zeros] = 1
-        states[swap_rows] = sub
-        states[is_c] = (states[is_c] + 1) % n
-        states[is_ci] = (states[is_ci] - 1) % n
+        draw = rng.integers(0, len(gens), trials)
+        states = gens[draw[:, None], states]  # left multiplication: g(p(k))
         if proxy == "bfs":
             values = table.dist[rank_rows(states)].astype(np.float64)
         else:
-            sums, diams = formula_terms_batch(states)
-            values = (sums + diams).min(axis=1) / 3.0
+            values = _bracket(*formula_terms_batch(states))[0]
         mean = float(values.mean())
         stderr = float(values.std(ddof=1) / sqrt(trials)) if trials > 1 else 0.0
         if mean > t + 1e-9:

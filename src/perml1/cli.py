@@ -24,7 +24,7 @@ from .audits import (
 )
 from .embed import (
     DEFAULT_GRID_SCALE,
-    circle_grid,
+    check_scale1,
     interval_profile,
 )
 from .metric import (
@@ -129,6 +129,7 @@ def cmd_synth(args) -> int:
 
 def cmd_embed(args) -> int:
     p = _parse_perm(args.perm, args.n)
+    check_scale1(args.scale1)
     out: dict = {"n": p.n, "map": args.map}
     if args.map in ("grid", "combined"):
         import numpy as np

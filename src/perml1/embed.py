@@ -21,7 +21,7 @@ from .perms import Permutation, cycle_dist, inverse
 
 __all__ = [
     "INTERIOR_MARGIN", "DEFAULT_GRID_SCALE",
-    "CircleGrid", "IntervalKey", "SparseVector", "CombinedPoint",
+    "CircleGrid", "IntervalKey", "SparseVector", "CombinedPoint", "check_scale1",
     "circle_grid", "circle_grid_distance", "realize_grid", "realized_distance",
     "intervals", "interior_contains_zero", "interval_profile", "profile_distance",
     "combined_embed", "combined_distance", "identity_distances",
@@ -90,8 +90,13 @@ class CombinedPoint:
     scale1: float
 
     def __post_init__(self):
-        if self.scale1 <= 0:
-            raise ValueError(f"scale1 must be positive, got {self.scale1}")
+        check_scale1(self.scale1)
+
+
+def check_scale1(scale1: float) -> None:
+    """Reject a grid scale outside (0, inf); nan fails both comparisons."""
+    if not 0 < scale1 < math.inf:
+        raise ValueError(f"scale1 must be positive and finite, got {scale1}")
 
 
 def circle_grid(p: Permutation) -> CircleGrid:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .perms import (
     Permutation,
-    all_permutations,
     compose,
     cycle_diam,
     cycle_dist,
@@ -56,10 +55,9 @@ class DistanceTable:
     dist: np.ndarray  # shape (n!,), int8: the diameter is 45 at n = 10
 
     def __getitem__(self, p: Permutation) -> int:
+        if p.n != self.n:
+            raise ValueError(f"permutation has degree {p.n}, the table has degree {self.n}")
         return int(self.dist[perm_rank(p)])
-
-    def lookup_rank(self, rank: int) -> int:
-        return int(self.dist[rank])
 
     def distance(self, p: Permutation, q: Permutation) -> int:
         """d(p, q) via right-invariance: the length of q * p^-1."""
@@ -135,10 +133,11 @@ def bfs_distances(n: int, max_degree: int = BFS_DEGREE_GUARD) -> DistanceTable:
     dist[0] = 0
     if n == 1:  # Sym_1 is the identity alone, and t needs two columns
         return DistanceTable(n, dist)
-    idx = np.arange(n)
-    # the columns of t*p, c*p and c^-1*p, in the order of _rank_deltas
-    moves = np.stack([np.r_[1, 0, idx[2:]], np.roll(idx, 1), np.roll(idx, -1)])
-    pos = idx.astype(np.int8).reshape(1, n)
+    gens = np.concatenate(generator_neighbors_rows(np.arange(n)[None, :]))
+    # (g*p)^-1 = p^-1 g^-1, so the columns of t*p, c*p and c^-1*p (the order
+    # of _rank_deltas) are the images of t, c^-1 and c
+    moves = gens[[0, 2, 1]]
+    pos = np.arange(n, dtype=np.int8).reshape(1, n)
     ranks = np.zeros(1, dtype=np.int64)
     level = 0
     while True:
@@ -180,10 +179,6 @@ class FormulaBreakdown:
     l_star: int
     value: int
 
-    def weighted_min(self, sum_weight: int = 6, diam_weight: int = 2) -> int:
-        """min over shifts of sum_weight*sum + diam_weight*diam."""
-        return min(sum_weight * t.sum + diam_weight * t.diam for t in self.per_shift)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -191,12 +186,6 @@ class FormulaBreakdown:
             "l_star": self.l_star,
             "per_shift": [{"l": t.l, "sum": t.sum, "diam": t.diam} for t in self.per_shift],
         }
-
-
-def _breakdown(n: int, terms: list[ShiftTerms]) -> FormulaBreakdown:
-    value = min(t.sum + t.diam for t in terms)
-    l_star = next(t.l for t in terms if t.sum + t.diam == value)
-    return FormulaBreakdown(n, tuple(terms), l_star, value)
 
 
 def formula_length(p: Permutation) -> FormulaBreakdown:
@@ -212,23 +201,16 @@ def formula_length(p: Permutation) -> FormulaBreakdown:
         mismatch = [q for q in range(n) if p.images[q] != (q - l) % n]
         d = cycle_diam(n, [0, l] + mismatch)
         terms.append(ShiftTerms(l, s, d))
-    return _breakdown(n, terms)
+    value = min(t.sum + t.diam for t in terms)
+    l_star = next(t.l for t in terms if t.sum + t.diam == value)
+    return FormulaBreakdown(n, tuple(terms), l_star, value)
 
 
 def formula_distance(p: Permutation, q: Permutation) -> FormulaBreakdown:
-    """Pairwise form of the length formula; equals formula_length(q * p^-1)."""
+    """Pairwise form of the length formula, right-invariant: formula_length(q * p^-1)."""
     if p.n != q.n:
         raise ValueError(f"degree mismatch: {p.n} vs {q.n}")
-    n = p.n
-    pinv = inverse(p).images
-    qinv = inverse(q).images
-    terms = []
-    for l in range(n):
-        s = sum(cycle_dist(n, (p.images[k] - l) % n, q.images[k]) for k in range(n))
-        mismatch = [r for r in range(n) if pinv[r] != qinv[(r - l) % n]]
-        d = cycle_diam(n, [0, l] + mismatch)
-        terms.append(ShiftTerms(l, s, d))
-    return _breakdown(n, terms)
+    return formula_length(compose(q, inverse(p)))
 
 
 def sum_term_min(p: Permutation, q: Permutation) -> int:

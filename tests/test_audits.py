@@ -100,6 +100,12 @@ class TestDistortionExact:
         with pytest.raises(ValueError, match="sample_size"):
             distortion_audit(5, mode=mode, sample_size=0)
 
+    @pytest.mark.parametrize("scale1", [-1.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("mode", ["exact", "envelope"])
+    def test_scale1_must_be_positive_and_finite(self, mode, scale1):
+        with pytest.raises(ValueError, match="scale1 must be positive and finite"):
+            distortion_audit(5, mode=mode, sample_size=100, seed=1, scale1=scale1)
+
 
 class TestDistortionEnvelope:
     def test_certificate_brackets_exact(self, tables):
@@ -225,6 +231,15 @@ class TestDrift:
     def test_four_step_variant(self):
         series = drift_walk(10, 4, 100, seed=4, four_step=True)
         assert len(series.series) == 5
+
+    @pytest.mark.parametrize("proxy, scale, totals", [
+        # per step, the sum over the 40 walks of F (formula) or of the word length (bfs)
+        ("formula", 3, [0, 74, 77, 125, 129, 154, 171, 182, 170, 197, 199]),
+        ("bfs", 1, [0, 40, 56, 76, 90, 108, 125, 129, 127, 143, 155]),
+    ])
+    def test_four_step_series_is_pinned(self, proxy, scale, totals):
+        series = drift_walk(7, 10, 40, seed=11, proxy=proxy, four_step=True)
+        assert np.allclose(series.means() * 40 * scale, totals, rtol=0, atol=1e-9)
 
     def test_formula_proxy_lower_bounds_bfs_proxy(self):
         a = drift_walk(7, 5, 300, seed=17, proxy="formula")

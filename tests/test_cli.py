@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import pathlib
 
 import pytest
 
+from perml1 import cli
 from perml1.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden_distortion.json"
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +122,11 @@ class TestEmbed:
         data = json.loads(out)
         assert code == 0 and "scale1" in data and "angles" in data and "profile" in data
 
+    @pytest.mark.parametrize("scale1", ["-1", "0", "nan"])
+    def test_invalid_scale_exits_with_validation_error(self, capsys, scale1):
+        code, out, err = run_cli(capsys, "embed", "--perm", "2,0,1", "--scale1", scale1)
+        assert code == 1 and out == "" and "scale1 must be positive and finite" in err
+
 
 class TestAudit:
     def test_exact_json(self, capsys):
@@ -157,6 +166,45 @@ class TestAudit:
             capsys, "audit", "--n", "5", "--mode", "envelope", "--sample-size", "0"
         )
         assert code == 1 and "sample_size must be >= 1" in err
+
+    @pytest.mark.parametrize("scale1", ["-1", "0", "nan"])
+    def test_invalid_scale_exits_with_validation_error(self, capsys, scale1):
+        code, out, err = run_cli(
+            capsys, "audit", "--n", "5", "--mode", "envelope", "--sample-size", "100",
+            "--seed", "1", "--scale1", scale1,
+        )
+        assert code == 1 and out == "" and "scale1 must be positive and finite" in err
+
+
+class TestForce:
+    """--force lifts the BFS degree guard; the guard is lowered to 5 here."""
+
+    @pytest.fixture(autouse=True)
+    def low_guard(self, monkeypatch):
+        monkeypatch.setattr(cli, "BFS_DEGREE_GUARD", 5)
+
+    def test_oracle_stops_at_the_guard(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--n", "6")
+        assert code == 1 and out == "" and "guard" in err
+
+    def test_oracle_forced(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "--n", "6", "--force")
+        assert code == 0 and len(list(csv.reader(io.StringIO(out)))) == 1 + 720
+
+    def test_audit_forced_matches_golden(self, capsys):
+        assert run_cli(capsys, "audit", "--n", "6")[0] == 1
+        code, out, _ = run_cli(capsys, "audit", "--n", "6", "--force")
+        data = json.loads(out)
+        golden = json.loads(GOLDEN.read_text())["6"]
+        assert code == 0 and data["pairs_checked"] == golden["pairs_checked"]
+        for key in ("distortion", "max_expansion", "max_contraction"):
+            assert data[key] == pytest.approx(golden[key], rel=1e-9, abs=0)
+
+    def test_bfs_drift_forced(self, capsys):
+        args = ("drift", "--n", "6", "--horizon", "3", "--trials", "8", "--proxy", "bfs")
+        assert run_cli(capsys, *args)[0] == 1
+        code, out, _ = run_cli(capsys, *args, "--force")
+        assert code == 0 and json.loads(out)["series"][1]["mean"] == 1.0
 
 
 class TestCube:

@@ -258,6 +258,8 @@ class TestCombined:
             combined_distance(a, b)
         with pytest.raises(ValueError):
             combined_embed(Permutation.identity(4), scale1=0.0)
+        with pytest.raises(ValueError):
+            combined_embed(Permutation.identity(4), scale1=float("nan"))
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_seven_lipschitz_per_edge(self, n):

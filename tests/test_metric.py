@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from perml1 import metric
 from perml1.metric import (
     ResourceLimitError,
+    ShiftTerms,
     _rank_deltas,
     bfs_distances,
     diam_term_min,
@@ -24,6 +25,8 @@ from perml1.perms import (
     Permutation,
     all_permutations,
     compose,
+    cycle_diam,
+    cycle_dist,
     inverse,
     perm_rank,
 )
@@ -48,6 +51,19 @@ def reference_bfs(n):
     return dist
 
 
+def pairwise_terms(p, q):
+    """Per-shift terms of the pair (p, q) computed from p and q themselves,
+    never through q * p^-1: the reference for right-invariance."""
+    n = p.n
+    pinv, qinv = inverse(p).images, inverse(q).images
+    terms = []
+    for l in range(n):
+        s = sum(cycle_dist(n, (p.images[k] - l) % n, q.images[k]) for k in range(n))
+        mismatch = [r for r in range(n) if pinv[r] != qinv[(r - l) % n]]
+        terms.append(ShiftTerms(l, s, cycle_diam(n, [0, l] + mismatch)))
+    return tuple(terms)
+
+
 class TestBfs:
     def test_identity_and_generators(self, tables):
         for n, table in tables.items():
@@ -62,6 +78,22 @@ class TestBfs:
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
             bfs_distances(11)
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_lookup_rejects_another_degree(self, tables, m):
+        p = Permutation(m, tuple(reversed(range(m))))
+        with pytest.raises(ValueError, match=f"degree {m}, the table has degree 5"):
+            tables[5][p]
+        with pytest.raises(ValueError, match=f"degree {m}, the table has degree 5"):
+            tables[5].distance(Permutation.identity(m), p)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_generator_table_acts_by_indexing(self, n, perm_arrays):
+        # the BFS and the drift walk move by indexing the images of t, c, c^-1
+        rows = perm_arrays[n]
+        gens = np.concatenate(generator_neighbors_rows(np.arange(n)[None, :]))
+        for g, neighbours in enumerate(generator_neighbors_rows(rows)):
+            assert np.array_equal(gens[g][rows], neighbours)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_reference_bfs(self, n):
@@ -162,8 +194,8 @@ class TestFormulaDistance:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_right_invariance_exhaustive(self, n):
-        # the pairwise terms must agree shift by shift with the one-sided
-        # formula applied to q * p^-1
+        # formula_distance goes through q * p^-1; the pairwise reference
+        # must agree with it shift by shift
         perms = list(all_permutations(n))
         import random
 
@@ -173,9 +205,10 @@ class TestFormulaDistance:
             pairs = [(p, q) for p in perms for q in perms]
         for p, q in pairs:
             pair = formula_distance(p, q)
-            single = formula_length(compose(q, inverse(p)))
-            assert pair.per_shift == single.per_shift
-            assert pair.value == single.value and pair.l_star == single.l_star
+            terms = pairwise_terms(p, q)
+            assert pair.per_shift == terms
+            assert pair.value == min(t.sum + t.diam for t in terms)
+            assert pair.l_star == next(t.l for t in terms if t.sum + t.diam == pair.value)
 
 
 class TestSplitTerms:
