@@ -24,11 +24,8 @@ from .metric import (  # noqa: F401
     FormulaBreakdown,
     ResourceLimitError,
     bfs_distances,
-    diam_term_min,
     formula_distance,
     formula_length,
-    split_check,
-    sum_term_min,
 )
 from .synth import (  # noqa: F401
     CertifiedWord,

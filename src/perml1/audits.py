@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import asdict, dataclass
-from math import isclose, sqrt
+from math import factorial, isclose, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .embed import (
     DEFAULT_GRID_SCALE,
+    _identity_temp_bytes,
     check_scale1,
     circle_grid,
     circle_grid_distance,
@@ -32,11 +33,12 @@ from .embed import (
     interval_profile,
 )
 from .metric import (
-    BFS_DEGREE_GUARD,
-    ResourceLimitError,
+    _formula_batch_bytes,
+    _generators,
+    _rank_deltas,
     bfs_distances,
+    check_memory,
     formula_terms_batch,
-    generator_neighbors_rows,
     rank_rows,
 )
 from .perms import Permutation, all_permutations
@@ -101,16 +103,18 @@ def _witness(row: np.ndarray) -> tuple[Permutation, Permutation]:
     return Permutation.identity(n), Permutation(n, tuple(int(x) for x in row))
 
 
-def _check_witness(row: np.ndarray, closed_form: float, scale1: float) -> tuple[str, str]:
-    """Recompute a witness's distance from the coordinates; returns its text."""
+def _check_witness(row: np.ndarray) -> tuple[str, str]:
+    """Check a witness's closed-form grid and profile distances against the
+    coordinates and return its text.  Each part sums at most 2n^2 terms of
+    size <= 2, each rounded far below 1e-12, hence the tolerance n^2 * 1e-12."""
     p, q = _witness(row)
-    grid = circle_grid_distance(circle_grid(p), circle_grid(q))
-    reference = scale1 * grid + interval_profile(p).distance(interval_profile(q))
-    if not isclose(closed_form, reference, rel_tol=1e-9):
-        raise PropertyViolation(
-            f"closed-form distance {closed_form!r} of ({p}, {q}) differs from "
-            f"the coordinate distance {reference!r}"
-        )
+    coordinates = (circle_grid_distance(circle_grid(p), circle_grid(q)),
+                   interval_profile(p).distance(interval_profile(q)))
+    parts = identity_distances(row[None, :])
+    for name, (closed_form,), reference in zip(("grid", "profile"), parts, coordinates):
+        if not isclose(closed_form, reference, rel_tol=1e-9, abs_tol=p.n * p.n * 1e-12):
+            raise PropertyViolation(f"closed-form {name} distance {float(closed_form)} of ({p}, {q}) "
+                                    f"differs from the coordinate distance {float(reference)}")
     return str(p), str(q)
 
 
@@ -120,15 +124,15 @@ def distortion_audit(
     sample_size: Optional[int] = None,
     seed: Optional[int] = None,
     scale1: float = DEFAULT_GRID_SCALE,
-    max_bfs_degree: int = BFS_DEGREE_GUARD,
 ) -> DistortionReport:
     """Certify the combined embedding against the word metric.
 
     Each pair (p, q) is scored as sigma = q p^-1 against the identity.  Exact
     mode sweeps every sigma != id, which stands for all n!(n!-1) ordered
-    pairs, or scores a seeded sample of pairs, against the BFS oracle.
-    Envelope mode samples pairs and certifies against the two-sided formula
-    bracket instead.
+    pairs, or scores a seeded sample of pairs, against the BFS oracle; its
+    arrays are checked against MEMORY_BUDGET before the BFS runs (Sym_10
+    fits).  Envelope mode samples pairs and certifies against the two-sided
+    formula bracket instead.
     """
     start = time.perf_counter()
     if mode not in ("exact", "envelope"):
@@ -148,11 +152,18 @@ def distortion_audit(
     rng = np.random.default_rng(seed)
     pairs_per_row = 1
     if mode == "exact":
-        table = bfs_distances(n, max_degree=max_bfs_degree)
+        size = factorial(n)
+        # The int8 table and elements, and per scored row at the peak: the
+        # distinct mask and four float64 arrays (grid, profile, combined and a
+        # temporary, or combined, expansion ratios and two temporaries).  A
+        # sampled row also holds its two draws, both rows, quotient and argsort.
+        rows, per_row = (size, 33) if sample_size is None else (sample_size, 33 + 12 * n + 24)
+        check_memory(size * (n + 1) + rows * per_row + _identity_temp_bytes(rows, n),
+                     f"the exact audit of Sym_{n}")
+        table = bfs_distances(n)
         elements = np.fromiter(
-            itertools.chain.from_iterable(p.images for p in all_permutations(n)), dtype=np.int8
+            itertools.chain.from_iterable(p.images for p in all_permutations(n)), dtype=np.int8, count=size * n
         ).reshape(-1, n)
-        size = len(elements)
         if sample_size is None:
             # all_permutations runs in Lehmer-rank order, and rank 0 is the identity
             sigma, ranks = elements[1:], slice(1, None)
@@ -163,7 +174,7 @@ def distortion_audit(
             jj = np.where(jj >= ii, jj + 1, jj)
             sigma = _quotients(elements[ii], elements[jj])
             ranks = rank_rows(sigma)
-        d_lo = d_hi = table.dist[ranks].astype(np.float64)
+        d_lo = d_hi = table.dist[ranks]
     else:
         p_rows = np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64)
         q_rows = np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64)
@@ -173,18 +184,22 @@ def distortion_audit(
     distinct = d_lo > 0  # false only where a sampled pair repeats an element
     if not distinct.any():
         raise PropertyViolation("all sampled pairs were identical; increase sample_size")
-    emb = identity_distances(sigma, scale1)
-    collapsed = np.flatnonzero(distinct & (emb == 0))
-    if len(collapsed):
-        p, q = _witness(sigma[collapsed[0]])
-        raise PropertyViolation(f"the combined embedding maps distinct elements {p} and {q} to one point")
+    grid, profile = identity_distances(sigma)
+    with np.errstate(over="ignore"):
+        emb = scale1 * grid + profile
+    del grid, profile  # _check_witness recomputes the witnesses' parts
+    if not np.isfinite(emb.max()):  # distances are >= 0: the max is inf or nan iff one is
+        raise ValueError(f"combined distances overflow at scale1 = {scale1}")
     exp_ratios = np.where(distinct, emb / np.maximum(d_lo, 1e-300), -1.0)
     con_ratios = np.where(distinct, d_hi / np.maximum(emb, 1e-300), -1.0)
     ei, ci = int(exp_ratios.argmax()), int(con_ratios.argmax())
+    if emb[ci] == 0:  # a distinct pair at distance 0 has the largest contraction, >= 1e300 / 3
+        p, q = _witness(sigma[ci])
+        raise PropertyViolation(f"the combined embedding maps distinct elements {p} and {q} to one point")
     return DistortionReport(
         n, mode, pairs_per_row * int(distinct.sum()),
-        float(exp_ratios[ei]), _check_witness(sigma[ei], emb[ei], scale1),
-        float(con_ratios[ci]), _check_witness(sigma[ci], emb[ci], scale1),
+        float(exp_ratios[ei]), _check_witness(sigma[ei]),
+        float(con_ratios[ci]), _check_witness(sigma[ci]),
         float(exp_ratios[ei] * con_ratios[ci]), scale1, sample_size, seed,
         _elapsed_ms(start),
     )
@@ -235,7 +250,9 @@ def cube_audit(
     standing for the 2^n ordered pairs (e, e xor x).  Checks
     h/..-proportional bounds via d_lo = F/3 and d_hi = min(6s+2d), verifies
     the displacement sum is uniquely minimized at shift 0 on every pair, and
-    (when the degree is BFS-feasible) compares with exact distances.
+    (when the degree is BFS-feasible) compares with exact distances.  Its
+    arrays are checked against MEMORY_BUDGET first: exhaustive runs reach
+    n = 14, and n = 15 raises ResourceLimitError unless sampled.
     """
     start = time.perf_counter()
     if n < 1:
@@ -243,14 +260,13 @@ def cube_audit(
     if sample_size is not None and sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     degree = 4 * n * n
+    rows = 2 ** n - 1 if sample_size is None else sample_size
+    # sigma lives through the kernel, and the bracket reuses the kernel's freed arrays
+    check_memory(8 * rows * degree + _formula_batch_bytes(rows, degree),
+                 f"the cube audit of {rows:,} vectors at degree {degree}")
     if sample_size is None:
-        if 2 ** n > 256:
-            raise ResourceLimitError(
-                f"exhaustive audit over 2^{n} - 1 vectors at degree {degree} is infeasible; "
-                "pass sample_size"
-            )
         diffs = [v for v in itertools.product((0, 1), repeat=n) if any(v)]
-        pairs = 2 ** n * len(diffs)
+        pairs = 2 ** n * rows
     else:
         rng = np.random.default_rng(seed)
         diffs = []
@@ -261,7 +277,8 @@ def cube_audit(
                 diffs.append(tuple((e ^ dl).tolist()))
         pairs = sample_size
 
-    sigma = np.array([hamming_embed(n, x).images for x in diffs], dtype=np.int64)
+    sigma = np.fromiter(itertools.chain.from_iterable(hamming_embed(n, x).images for x in diffs),
+                        dtype=np.int64, count=rows * degree).reshape(rows, degree)
     sums, diams = formula_terms_batch(sigma)
     h = np.array([sum(x) for x in diffs], dtype=np.int64)
     d_lo, d_hi = _bracket(sums, diams)
@@ -322,13 +339,14 @@ def drift_walk(
     seed: Optional[int] = None,
     proxy: str = "formula",
     four_step: bool = False,
-    max_bfs_degree: int = BFS_DEGREE_GUARD,
 ) -> DriftSeries:
     """Simple random walk by left multiplication with steps uniform on
     {t, c, c^-1} (or the four-element multiset {t, t, c, c^-1}).
 
     The distance proxy per step is either the exact BFS length or F/3, the
-    lower edge of the formula's 3-approximation bracket.
+    lower edge of the formula's 3-approximation bracket.  The BFS proxy
+    carries each walker as an inverse row with its Lehmer rank and moves it
+    as the BFS does, so no state is ranked from scratch.
     """
     if proxy not in ("formula", "bfs"):
         raise ValueError(f"unknown proxy {proxy!r}")
@@ -338,19 +356,21 @@ def drift_walk(
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    table = bfs_distances(n, max_degree=max_bfs_degree) if proxy == "bfs" else None
+    table = bfs_distances(n) if proxy == "bfs" else None
     rng = np.random.default_rng(seed)
-    states = np.tile(np.arange(n, dtype=np.int64), (trials, 1))
+    states = np.tile(np.arange(n, dtype=np.int64), (trials, 1))  # one-line rows, or inverse rows for "bfs"
+    ranks = np.zeros(trials, dtype=np.int64)
     steps = [DriftStep(0, 0.0, 0.0)]
-    gens = np.concatenate(generator_neighbors_rows(np.arange(n)[None, :]))  # t, c, c^-1
-    if four_step:
-        gens = gens[[0, 0, 1, 2]]
+    gens, moves = _generators(n)
+    letters = np.array([0, 0, 1, 2] if four_step else [0, 1, 2])  # t, c, c^-1
     for t in range(1, horizon + 1):
-        draw = rng.integers(0, len(gens), trials)
-        states = gens[draw[:, None], states]  # left multiplication: g(p(k))
+        g = letters[rng.integers(0, len(letters), trials)]
         if proxy == "bfs":
-            values = table.dist[rank_rows(states)].astype(np.float64)
+            ranks += _rank_deltas(states)[g, np.arange(trials)]
+            states = np.take_along_axis(states, moves[g], axis=1)
+            values = table.dist[ranks].astype(np.float64)
         else:
+            states = gens[g[:, None], states]  # left multiplication: g(p(k))
             values = _bracket(*formula_terms_batch(states))[0]
         mean = float(values.mean())
         stderr = float(values.std(ddof=1) / sqrt(trials)) if trials > 1 else 0.0

@@ -28,7 +28,6 @@ from .embed import (
     interval_profile,
 )
 from .metric import (
-    BFS_DEGREE_GUARD,
     ResourceLimitError,
     bfs_distances,
     formula_distance,
@@ -82,8 +81,7 @@ def _add_out(sub) -> None:
 
 
 def cmd_oracle(args) -> int:
-    max_degree = args.n if args.force else BFS_DEGREE_GUARD
-    table = bfs_distances(args.n, max_degree=max_degree)
+    table = bfs_distances(args.n)
     with _opened(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["perm", "dist"])
@@ -116,13 +114,13 @@ def cmd_synth(args) -> int:
         if eval_word(cert.word) != p:
             raise PropertyViolation("synthesized word does not evaluate to its target")
         out["eval_ok"] = True
-        if p.n <= BFS_DEGREE_GUARD:
+        try:
             floor = bfs_distances(p.n)[p]
-            out["bfs_distance"] = floor
-            if cert.length < floor:
-                raise PropertyViolation("word shorter than the exact metric allows")
-        else:
-            out["bfs_distance"] = None
+        except ResourceLimitError:
+            floor = None
+        out["bfs_distance"] = floor
+        if floor is not None and cert.length < floor:
+            raise PropertyViolation("word shorter than the exact metric allows")
     _write(_json_text(out), args.out)
     return EXIT_OK
 
@@ -154,14 +152,12 @@ def cmd_embed(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    max_degree = args.n if args.force else BFS_DEGREE_GUARD
     report = distortion_audit(
         args.n,
         mode=args.mode,
         sample_size=args.sample_size,
         seed=args.seed,
         scale1=args.scale1,
-        max_bfs_degree=max_degree,
     )
     payload = report.to_json_dict()
     if args.format == "csv":
@@ -184,7 +180,6 @@ def cmd_cube(args) -> int:
 
 
 def cmd_drift(args) -> int:
-    max_degree = args.n if args.force else BFS_DEGREE_GUARD
     series = drift_walk(
         args.n,
         horizon=args.horizon,
@@ -192,7 +187,6 @@ def cmd_drift(args) -> int:
         seed=args.seed,
         proxy=args.proxy,
         four_step=args.four_step,
-        max_bfs_degree=max_degree,
     )
     if args.format == "csv":
         with _opened(args.out) as fh:
@@ -211,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("oracle", parents=[], help="exact BFS word lengths as CSV")
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--force", action="store_true", help="lift the BFS degree guard")
     _add_out(sub)
     sub.set_defaults(func=cmd_oracle)
 
@@ -243,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--sample-size", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--scale1", type=float, default=DEFAULT_GRID_SCALE)
-    sub.add_argument("--force", action="store_true")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     _add_out(sub)
     sub.set_defaults(func=cmd_audit)
@@ -263,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--proxy", choices=("formula", "bfs"), default="formula")
     sub.add_argument("--four-step", action="store_true",
                      help="draw steps from the multiset {t, t, c, c^-1} instead of {t, c, c^-1}")
-    sub.add_argument("--force", action="store_true")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     _add_out(sub)
     sub.set_defaults(func=cmd_drift)

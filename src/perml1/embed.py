@@ -176,9 +176,20 @@ def combined_distance(a: CombinedPoint, b: CombinedPoint) -> float:
     return a.scale1 * circle_grid_distance(a.grid, b.grid) + profile_distance(a.sparse, b.sparse)
 
 
-def identity_distances(sigma: np.ndarray, scale1: float = DEFAULT_GRID_SCALE) -> np.ndarray:
-    """Combined distance from the identity to each one-line row, (m, n) -> (m,),
-    by closed forms of `combined_distance(combined_embed(id), combined_embed(s))`:
+def _identity_temp_bytes(m: int, n: int) -> int:
+    """Temporaries identity_distances holds at its peak, per row and column of
+    a chunk: the previous chunk's arrays until their names are rebound (rows,
+    cells, hist, inv, run: 8 each; doubled, breaks, next_break: 16 each), the
+    2n-wide difference with its residue (32), and the histogram's BLAS-packed
+    copy (8), which stays resident."""
+    return 128 * n * min(m, _ROWS_PER_CHUNK)
+
+
+def identity_distances(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid and profile distances from the identity to each one-line row,
+    (m, n) -> two (m,) arrays, by closed forms of the two parts of
+    `combined_distance(combined_embed(id), combined_embed(s))`, which is
+    scale1 * grid + profile:
 
     * grid: entry (k, r) of the two grids differs by the rotation a_k - a_r
       with a = s - id mod n, so the distance is h^T K h, where h is the
@@ -196,20 +207,20 @@ def identity_distances(sigma: np.ndarray, scale1: float = DEFAULT_GRID_SCALE) ->
     k = np.arange(n)
     kernel = 2.0 * np.abs(np.sin(np.pi * np.subtract.outer(k, k) / n))
     cap = np.minimum(n - k + 1, n)
-    out = np.empty(m)
+    grid, profile = np.empty(m), np.empty(m)
     for lo in range(0, m, _ROWS_PER_CHUNK):
         rows = np.asarray(sigma[lo:lo + _ROWS_PER_CHUNK], dtype=np.int64)
         cells = (rows - k) % n + n * np.arange(len(rows))[:, None]
         hist = np.bincount(cells.ravel(), minlength=cells.size).reshape(-1, n).astype(np.float64)
-        grid = ((hist @ kernel) * hist).sum(axis=1)
+        grid[lo:lo + _ROWS_PER_CHUNK] = ((hist @ kernel) * hist).sum(axis=1)
         inv = np.argsort(rows, axis=1)
         doubled = np.concatenate([inv, inv], axis=1)  # wrap-free runs
         breaks = np.where(np.diff(doubled, axis=1) % n == 1, 2 * n - 1, np.arange(2 * n - 1))
         next_break = np.minimum.accumulate(breaks[:, ::-1], axis=1)[:, ::-1]
         run = np.minimum(next_break[:, :n] - k + 1, n)
         common = np.minimum(np.minimum(run, cap), cap[inv]).sum(axis=1)
-        out[lo:lo + _ROWS_PER_CHUNK] = scale1 * grid + 2.0 * (cap.sum() - common) / n
-    return out
+        profile[lo:lo + _ROWS_PER_CHUNK] = 2.0 * (cap.sum() - common) / n
+    return grid, profile
 
 
 def circle_median(n: int, cloud: Sequence[int]) -> tuple[int, int]:

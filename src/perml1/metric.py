@@ -25,15 +25,16 @@ from .perms import (
 )
 
 __all__ = [
-    "ResourceLimitError",
+    "MEMORY_BUDGET", "ResourceLimitError", "check_memory",
     "DistanceTable", "bfs_distances",
     "ShiftTerms", "FormulaBreakdown",
     "formula_length", "formula_distance",
-    "sum_term_min", "diam_term_min", "split_check", "SplitCheck",
     "rank_rows", "generator_neighbors_rows", "formula_terms_batch",
 ]
 
-BFS_DEGREE_GUARD = 10
+# Bytes an exact computation may hold at once; callers add up their arrays
+# and call check_memory before allocating them.
+MEMORY_BUDGET = 1 << 30
 
 # Largest BFS level the int8 distance table can hold.
 _MAX_LEVEL = np.iinfo(np.int8).max
@@ -45,6 +46,12 @@ _FORMULA_BLOCK_BYTES = 1 << 23
 
 class ResourceLimitError(RuntimeError):
     """Raised when an exact computation would exceed the configured budget."""
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Raise ResourceLimitError if `what` needs more than MEMORY_BUDGET bytes."""
+    if nbytes > MEMORY_BUDGET:
+        raise ResourceLimitError(f"{what} needs {nbytes:,} bytes, over the memory budget of {MEMORY_BUDGET:,}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +118,41 @@ def _rank_deltas(pos: np.ndarray) -> np.ndarray:
     return np.stack([swap[pos[:, 0], pos[:, 1]], up[pos[:, -1]], -up[pos[:, 0]]])
 
 
-def bfs_distances(n: int, max_degree: int = BFS_DEGREE_GUARD) -> DistanceTable:
+def _generators(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Images of t, c and c^-1 (the order of _rank_deltas), and their column
+    moves on inverse rows: (g*p)^-1 = p^-1 g^-1, the images of t, c^-1, c."""
+    gens = np.concatenate(generator_neighbors_rows(np.arange(n)[None, :]))
+    return gens, gens[[0, 2, 1]]
+
+
+def _bfs_row_bytes(n: int) -> int:
+    """Bytes _expand holds per frontier row at its peak.  Past level 0 a row
+    has at most two unreached neighbours (its parent is reached)."""
+    fresh = kept = 2
+    pick = 26 * fresh + 16 * kept  # fresh, order, ranked, first and its test; chosen and its sort
+    build = 24 * kept + 3 * kept * n  # chosen, gen, row; three copies of the new inverse rows
+    return n + 8 + 24 + max(pick, build)  # plus the row, its rank and the candidate ranks
+
+
+def _expand(pos: np.ndarray, ranks: np.ndarray, dist: np.ndarray, moves: np.ndarray):
+    """Inverse rows and ranks of the neighbours of a frontier that `dist` has
+    not reached, one per new rank, grouped by generator and then by row."""
+    candidates = (ranks + _rank_deltas(pos)).ravel()
+    fresh = np.flatnonzero(dist[candidates] == -1)
+    # one candidate per new rank; ascending indices group them by generator
+    order = fresh[np.argsort(candidates[fresh])]
+    ranked = candidates[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    chosen = np.sort(order[first])
+    del fresh, order, ranked, first
+    gen, row = np.divmod(chosen, len(pos))
+    groups = np.split(row, np.searchsorted(gen, [1, 2]))
+    pos = np.concatenate([pos[rows][:, move] for rows, move in zip(groups, moves)])
+    return pos, candidates[chosen]
+
+
+def bfs_distances(n: int) -> DistanceTable:
     """Exact shortest-path distances from the identity over all of Sym_n.
 
     Runs a frontier-at-a-time BFS in which no row is ranked from scratch.
@@ -119,48 +160,34 @@ def bfs_distances(n: int, max_degree: int = BFS_DEGREE_GUARD) -> DistanceTable:
     with their Lehmer ranks.  Left multiplication by a generator is a column
     move on pos (t swaps columns 0 and 1, c rolls them by +1, c^-1 by -1),
     and each neighbour's rank is its row's rank plus an O(1) delta
-    (_rank_deltas).  The table holds n! int8 entries, so the degree is guarded,
-    and a level beyond 127 raises ResourceLimitError.
+    (_rank_deltas).  The n! int8 table, and then each level's frontier at
+    _bfs_row_bytes per row, are checked against MEMORY_BUDGET: Sym_11 fits,
+    Sym_12 is refused part way and Sym_13 at once, with ResourceLimitError.
+    A level beyond 127 also raises ResourceLimitError.
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    if max_degree is not None and n > max_degree:
-        raise ResourceLimitError(
-            f"BFS over Sym_{n} needs {factorial(n):,} table entries; "
-            f"the guard allows degree <= {max_degree} (force to lift it)"
-        )
-    dist = np.full(factorial(n), -1, dtype=np.int8)
+    size = factorial(n)
+    check_memory(size, f"the distance table of Sym_{n}")
+    dist = np.full(size, -1, dtype=np.int8)
     dist[0] = 0
     if n == 1:  # Sym_1 is the identity alone, and t needs two columns
         return DistanceTable(n, dist)
-    gens = np.concatenate(generator_neighbors_rows(np.arange(n)[None, :]))
-    # (g*p)^-1 = p^-1 g^-1, so the columns of t*p, c*p and c^-1*p (the order
-    # of _rank_deltas) are the images of t, c^-1 and c
-    moves = gens[[0, 2, 1]]
+    moves = _generators(n)[1]
     pos = np.arange(n, dtype=np.int8).reshape(1, n)
     ranks = np.zeros(1, dtype=np.int64)
     level = 0
     while True:
-        candidates = (ranks + _rank_deltas(pos)).ravel()
-        fresh = np.flatnonzero(dist[candidates] == -1)
-        if not len(fresh):
+        check_memory(size + len(pos) * _bfs_row_bytes(n), f"level {level + 1} of the BFS over Sym_{n}")
+        pos, ranks = _expand(pos, ranks, dist, moves)
+        if not len(ranks):
             break
-        # one candidate per new rank; ascending indices group them by generator
-        order = fresh[np.argsort(candidates[fresh])]
-        ranked = candidates[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = ranked[1:] != ranked[:-1]
-        chosen = np.sort(order[first])
         level += 1
         if level > _MAX_LEVEL:
             raise ResourceLimitError(
                 f"BFS over Sym_{n} passes level {_MAX_LEVEL}, beyond the int8 distance table"
             )
-        ranks = candidates[chosen]
         dist[ranks] = level
-        gen, row = np.divmod(chosen, len(pos))
-        groups = np.split(row, np.searchsorted(gen, [1, 2]))
-        pos = np.concatenate([pos[rows][:, move] for rows, move in zip(groups, moves)])
     return DistanceTable(n, dist)
 
 
@@ -189,7 +216,7 @@ class FormulaBreakdown:
 
 
 def formula_length(p: Permutation) -> FormulaBreakdown:
-    """Brute force over every shift l.
+    """Scans every shift l in Python.
 
     sum(l) = sum_k d(k, p(k)+l) on the n-cycle; the diameter term covers
     {0, l} together with the points where p differs from the rotation x -> x-l.
@@ -213,33 +240,26 @@ def formula_distance(p: Permutation, q: Permutation) -> FormulaBreakdown:
     return formula_length(compose(q, inverse(p)))
 
 
-def sum_term_min(p: Permutation, q: Permutation) -> int:
-    """Min over shifts of the displacement sum alone."""
-    return min(t.sum for t in formula_distance(p, q).per_shift)
-
-
-def diam_term_min(p: Permutation, q: Permutation) -> int:
-    """Min over shifts of the diameter term alone."""
-    return min(t.diam for t in formula_distance(p, q).per_shift)
-
-
-class SplitCheck(NamedTuple):
-    joint_min: int
-    split_bound: int
-    holds: bool
-
-
-def split_check(p: Permutation, q: Permutation) -> SplitCheck:
-    """Check that the joint minimum is <= 2*(sum min) + (diam min)."""
-    breakdown = formula_distance(p, q)
-    joint = breakdown.value
-    bound = 2 * min(t.sum for t in breakdown.per_shift) + min(t.diam for t in breakdown.per_shift)
-    return SplitCheck(joint, bound, joint <= bound)
-
-
 def _words(mask: int, count: int) -> list[int]:
     """The low `count` 64-bit words of a bit mask, least significant first."""
     return [(mask >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(count)]
+
+
+def _mask_layout(n: int, chunk: int) -> tuple[int, int, int]:
+    """Words per shift mask and per doubled mask, and rows per block."""
+    words = -(-n // 64)
+    dwords = words + n // 2 // 64 + 1  # a rot_v window for v <= n // 2 reads no further
+    return words, dwords, max(1, min(chunk, _FORMULA_BLOCK_BYTES // (8 * n * dwords)))
+
+
+def _formula_batch_bytes(m: int, n: int, chunk: int = 1024) -> int:
+    """Bytes formula_terms_batch holds at its peak for m int64 rows: per cell,
+    the displacements, histogram, sums, matched shifts and diameters, and the
+    histogram's BLAS-packed copy, which stays resident; the circulant, its
+    float cast and packed copy; and four block-sized arrays (the doubled
+    masks, their member part and two shifted windows)."""
+    _, dwords, block = _mask_layout(n, chunk)
+    return 8 * (6 * m * n + 3 * n * n + 4 * min(m, block) * n * dwords)
 
 
 def formula_terms_batch(perms: np.ndarray, chunk: int = 1024) -> tuple[np.ndarray, np.ndarray]:
@@ -277,8 +297,7 @@ def formula_terms_batch(perms: np.ndarray, chunk: int = 1024) -> tuple[np.ndarra
     sums = (hist.reshape(m, n).astype(np.float64) @ circulant).astype(np.int64)
 
     half = n // 2
-    words = -(-n // 64)
-    dwords = words + half // 64 + 1  # a rot_v window for v <= half reads no further
+    words, dwords, block = _mask_layout(n, chunk)
     low = np.array(_words((1 << n) - 1, words), dtype=np.uint64)
     full = np.array(_words((1 << 2 * n) - 1, dwords), dtype=np.uint64)
     # {0, l} doubled: multiplying by 1 + 2**n copies bits q < n to q + n
@@ -288,7 +307,6 @@ def formula_terms_batch(perms: np.ndarray, chunk: int = 1024) -> tuple[np.ndarra
     bit_values = np.left_shift(np.uint64(1), (bits % 64).astype(np.uint64))
     neg = (-disp) % n  # the one shift each position matches
     diams = np.zeros(m * n, dtype=np.int64)
-    block = max(1, min(chunk, _FORMULA_BLOCK_BYTES // (8 * n * dwords)))
     for lo in range(0, m, block):
         b = min(block, m - lo)
         entries = np.arange(lo * n, (lo + b) * n)

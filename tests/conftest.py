@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from perml1.metric import bfs_distances
+from perml1 import audits, metric
+from perml1.metric import bfs_distances, formula_distance
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +21,37 @@ def perm_arrays():
         n: np.array(list(itertools.permutations(range(n))), dtype=np.int64)
         for n in range(1, 8)
     }
+
+
+@pytest.fixture(scope="session")
+def term_minima():
+    """(min over shifts of the sum term, min over shifts of the diameter term)
+    of the pair (p, q), read off the formula's per-shift breakdown."""
+
+    def minima(p, q):
+        terms = formula_distance(p, q).per_shift
+        return min(t.sum for t in terms), min(t.diam for t in terms)
+
+    return minima
+
+
+@pytest.fixture
+def traced_peak_and_largest_check(monkeypatch):
+    """Run a callable; return the tracemalloc peak of its numpy buffers and the
+    largest byte count it passed to check_memory."""
+
+    def run(call):
+        checked = []
+        check = metric.check_memory
+        record = lambda nbytes, what: checked.append(nbytes) or check(nbytes, what)  # noqa: E731
+        monkeypatch.setattr(metric, "check_memory", record)
+        monkeypatch.setattr(audits, "check_memory", record)
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, max(checked)
+
+    return run

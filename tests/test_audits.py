@@ -1,8 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+from perml1 import audits
 from perml1.audits import (
     CubeAuditReport,
     PropertyViolation,
@@ -13,7 +15,7 @@ from perml1.audits import (
     hamming_embed,
 )
 from perml1.embed import combined_distance, combined_embed
-from perml1.metric import ResourceLimitError, formula_terms_batch
+from perml1.metric import ResourceLimitError, formula_terms_batch, generator_neighbors_rows, rank_rows
 from perml1.perms import Permutation, all_permutations, compose, inverse
 
 
@@ -75,7 +77,8 @@ class TestDistortionExact:
             assert report.expansion_witness[0] == str(Permutation.identity(n))
 
     def test_guard(self):
-        with pytest.raises(ResourceLimitError):
+        # refused before the BFS runs
+        with pytest.raises(ResourceLimitError, match="exact audit of Sym_11 needs .* over the memory budget"):
             distortion_audit(11)
 
     def test_single_element_group_is_isometric(self):
@@ -83,12 +86,15 @@ class TestDistortionExact:
         assert report.distortion == 1.0 and report.pairs_checked == 0
 
     def test_witness_is_rechecked_against_the_coordinates(self, monkeypatch):
-        from perml1 import audits
-
         closed_form = audits.identity_distances
-        monkeypatch.setattr(audits, "identity_distances", lambda s, c: closed_form(s, c) * (1 + 1e-6))
-        with pytest.raises(PropertyViolation, match="coordinate distance"):
-            distortion_audit(4)
+        for part in ("grid", "profile"):
+            def perturbed(sigma, part=part):
+                grid, profile = closed_form(sigma)
+                return (grid * (1 + 1e-6), profile) if part == "grid" else (grid, profile * (1 + 1e-6))
+
+            monkeypatch.setattr(audits, "identity_distances", perturbed)
+            with pytest.raises(PropertyViolation, match=f"closed-form {part} distance .* coordinate distance"):
+                distortion_audit(4)
 
     def test_degree_two_collapse_is_a_violation(self):
         # both elements of Sym_2 land on one point, so no distortion exists
@@ -106,6 +112,18 @@ class TestDistortionExact:
         with pytest.raises(ValueError, match="scale1 must be positive and finite"):
             distortion_audit(5, mode=mode, sample_size=100, seed=1, scale1=scale1)
 
+    @pytest.mark.parametrize("scale1", [1e6, 1e300])
+    def test_large_scale1_keeps_the_grid_residue_out_of_the_check(self, scale1):
+        # the witness c^2 has grid distance 0; its coordinate grid is a rounding residue
+        report = distortion_audit(4, scale1=scale1)
+        assert np.isfinite(report.distortion)
+
+    def test_overflowing_scale1_is_a_validation_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow at scale1 = 1e[+]308"):
+                distortion_audit(4, scale1=1e308)
+
 
 class TestDistortionEnvelope:
     def test_certificate_brackets_exact(self, tables):
@@ -121,6 +139,21 @@ class TestDistortionEnvelope:
         report = distortion_audit(15, mode="envelope", sample_size=300, seed=1)
         assert report.pairs_checked <= 300
         assert np.isfinite(report.distortion)
+
+
+class TestMemoryBudget:
+    """tracemalloc sees every numpy buffer: their peak must stay within the
+    largest amount an audit checked against the budget."""
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_exact_audit(self, n, traced_peak_and_largest_check):
+        peak, largest = traced_peak_and_largest_check(lambda: distortion_audit(n))
+        assert peak <= largest
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_cube_audit(self, n, traced_peak_and_largest_check):
+        peak, largest = traced_peak_and_largest_check(lambda: cube_audit(n))
+        assert peak <= largest
 
 
 class TestHammingEmbed:
@@ -180,8 +213,12 @@ class TestCubeAudit:
         assert report.minimizer_at_zero
 
     def test_guard_without_sampling(self):
-        with pytest.raises(ResourceLimitError):
-            cube_audit(10)
+        # 2^15 - 1 vectors at degree 900 exceed the budget; 2^9 - 1 at degree 324 run exhaustively
+        with pytest.raises(ResourceLimitError, match="cube audit of 32,767 vectors at degree 900 needs"):
+            cube_audit(15)
+        report = cube_audit(9)
+        assert report.pairs_checked == 2 ** 9 * (2 ** 9 - 1)
+        assert report.minimizer_at_zero
 
     def test_validation(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -240,6 +277,20 @@ class TestDrift:
     def test_four_step_series_is_pinned(self, proxy, scale, totals):
         series = drift_walk(7, 10, 40, seed=11, proxy=proxy, four_step=True)
         assert np.allclose(series.means() * 40 * scale, totals, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("four_step", [False, True])
+    def test_bfs_proxy_matches_ranking_every_state(self, four_step, tables):
+        # reference walk: one-line states, each ranked from scratch
+        n, horizon, trials, seed = 6, 12, 50, 4
+        series = drift_walk(n, horizon, trials, seed=seed, proxy="bfs", four_step=four_step)
+        gens = np.concatenate(generator_neighbors_rows(np.arange(n)[None, :]))
+        if four_step:
+            gens = gens[[0, 0, 1, 2]]
+        rng = np.random.default_rng(seed)
+        states = np.tile(np.arange(n), (trials, 1))
+        for step in series.series[1:]:
+            states = gens[rng.integers(0, len(gens), trials)[:, None], states]
+            assert step.mean == tables[n].dist[rank_rows(states)].mean()
 
     def test_formula_proxy_lower_bounds_bfs_proxy(self):
         a = drift_walk(7, 5, 300, seed=17, proxy="formula")

@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import math
 import pathlib
+import shlex
 
 import pytest
 
-from perml1 import cli
+from perml1 import metric
 from perml1.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_distortion.json"
@@ -27,9 +29,9 @@ class TestOracle:
         assert rows[1] == ["0,1,2,3", "0"]
 
     def test_guard_exit(self, capsys):
-        code, _, err = run_cli(capsys, "oracle", "--n", "11")
-        assert code == 1
-        assert "guard" in err
+        code, out, err = run_cli(capsys, "oracle", "--n", "13")
+        assert code == 1 and out == ""
+        assert "over the memory budget" in err
 
     def test_degree_zero_writes_nothing(self, capsys, tmp_path):
         out = tmp_path / "oracle.csv"
@@ -167,6 +169,17 @@ class TestAudit:
         )
         assert code == 1 and "sample_size must be >= 1" in err
 
+    def test_large_scale_is_finite(self, capsys):
+        # the grid part of the witness c^2 is 0; scaling its coordinate residue
+        # once failed the witness check
+        code, out, _ = run_cli(capsys, "audit", "--n", "4", "--scale1", "1e6")
+        assert code == 0 and math.isfinite(json.loads(out)["distortion"])
+
+    def test_overflowing_scale_exits_with_validation_error(self, capsys, recwarn):
+        code, out, err = run_cli(capsys, "audit", "--n", "4", "--scale1", "1e308")
+        assert code == 1 and out == "" and "overflow" in err
+        assert len(recwarn) == 0 and "Warning" not in err
+
     @pytest.mark.parametrize("scale1", ["-1", "0", "nan"])
     def test_invalid_scale_exits_with_validation_error(self, capsys, scale1):
         code, out, err = run_cli(
@@ -176,35 +189,53 @@ class TestAudit:
         assert code == 1 and out == "" and "scale1 must be positive and finite" in err
 
 
-class TestForce:
-    """--force lifts the BFS degree guard; the guard is lowered to 5 here."""
+class TestBudget:
+    """Every BFS-backed command runs within metric.MEMORY_BUDGET and exits 1
+    naming the budget beyond it.  `low_budget` shrinks it below the 720-byte
+    distance table of Sym_6."""
 
-    @pytest.fixture(autouse=True)
-    def low_guard(self, monkeypatch):
-        monkeypatch.setattr(cli, "BFS_DEGREE_GUARD", 5)
+    @pytest.fixture
+    def low_budget(self, monkeypatch):
+        monkeypatch.setattr(metric, "MEMORY_BUDGET", 700)
 
-    def test_oracle_stops_at_the_guard(self, capsys):
+    def test_oracle_stops_at_the_budget(self, capsys, low_budget):
         code, out, err = run_cli(capsys, "oracle", "--n", "6")
-        assert code == 1 and out == "" and "guard" in err
+        assert code == 1 and out == "" and "budget" in err
 
-    def test_oracle_forced(self, capsys):
-        code, out, _ = run_cli(capsys, "oracle", "--n", "6", "--force")
+    def test_oracle_stops_part_way(self, capsys, monkeypatch):
+        # the 5040-byte table of Sym_7 fits, a level of 100 frontier rows does not
+        monkeypatch.setattr(metric, "MEMORY_BUDGET", 5040 + 100 * metric._bfs_row_bytes(7))
+        code, out, err = run_cli(capsys, "oracle", "--n", "7")
+        assert code == 1 and out == ""
+        assert "of the BFS over Sym_7 needs" in err and "budget" in err
+
+    def test_oracle_within_the_budget(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "--n", "6")
         assert code == 0 and len(list(csv.reader(io.StringIO(out)))) == 1 + 720
 
-    def test_audit_forced_matches_golden(self, capsys):
-        assert run_cli(capsys, "audit", "--n", "6")[0] == 1
-        code, out, _ = run_cli(capsys, "audit", "--n", "6", "--force")
+    def test_audit_matches_golden(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, "audit", "--n", "6")
         data = json.loads(out)
         golden = json.loads(GOLDEN.read_text())["6"]
         assert code == 0 and data["pairs_checked"] == golden["pairs_checked"]
         for key in ("distortion", "max_expansion", "max_contraction"):
             assert data[key] == pytest.approx(golden[key], rel=1e-9, abs=0)
+        monkeypatch.setattr(metric, "MEMORY_BUDGET", 700)
+        code, out, err = run_cli(capsys, "audit", "--n", "6")
+        assert code == 1 and out == "" and "budget" in err
 
-    def test_bfs_drift_forced(self, capsys):
+    def test_bfs_drift(self, capsys, monkeypatch):
         args = ("drift", "--n", "6", "--horizon", "3", "--trials", "8", "--proxy", "bfs")
-        assert run_cli(capsys, *args)[0] == 1
-        code, out, _ = run_cli(capsys, *args, "--force")
+        code, out, _ = run_cli(capsys, *args)
         assert code == 0 and json.loads(out)["series"][1]["mean"] == 1.0
+        monkeypatch.setattr(metric, "MEMORY_BUDGET", 700)
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1 and out == "" and "budget" in err
+
+    def test_synth_check_reports_null_beyond_the_budget(self, capsys, low_budget):
+        code, out, _ = run_cli(capsys, "synth", "--perm", "1,0,3,2,5,4", "--check")
+        data = json.loads(out)
+        assert code == 0 and data["eval_ok"] is True and data["bfs_distance"] is None
 
 
 class TestCube:
@@ -251,10 +282,10 @@ class TestDrift:
 
     def test_bfs_proxy_guard(self, capsys):
         code, _, err = run_cli(
-            capsys, "drift", "--n", "12", "--horizon", "2", "--trials", "8",
+            capsys, "drift", "--n", "13", "--horizon", "2", "--trials", "8",
             "--proxy", "bfs"
         )
-        assert code == 1 and "guard" in err
+        assert code == 1 and "over the memory budget" in err
 
 
 class TestExitCodes:
@@ -269,3 +300,25 @@ class TestExitCodes:
     def test_version(self, capsys):
         code, out, _ = run_cli(capsys, "--version")
         assert code == 0 and out.startswith("perml1")
+
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+
+
+def readme_commands():
+    """Each `perml1 ...` line of the README's CLI block, as an argument list."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("perml1 ")]
+
+
+def test_readme_lists_every_subcommand():
+    assert {argv[0] for argv in readme_commands()} == {
+        "oracle", "formula", "synth", "embed", "audit", "cube", "drift"
+    }
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_runs(argv, tmp_path):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.stat().st_size > 0

@@ -22,7 +22,6 @@ from perml1.embed import (
     realize_grid,
     realized_distance,
 )
-from perml1.metric import diam_term_min, sum_term_min
 from perml1.perms import (
     Permutation,
     all_permutations,
@@ -82,11 +81,11 @@ class TestCircleGrid:
                                  circle_grid(Permutation.identity(4)))
 
     @pytest.mark.parametrize("n", range(2, 6))
-    def test_frame_against_sum_term(self, n):
+    def test_frame_against_sum_term(self, n, term_minima):
         perms = list(all_permutations(n))
         for p in perms:
             for q in perms:
-                t1 = sum_term_min(p, q)
+                t1 = term_minima(p, q)[0]
                 d = circle_grid_distance(circle_grid(p), circle_grid(q))
                 assert 4 * t1 - 1e-9 <= d <= 4 * math.pi * t1 + 1e-9
 
@@ -177,33 +176,33 @@ class TestIntervalProfile:
             )
 
     @pytest.mark.parametrize("n", range(3, 6))
-    def test_conditional_lower_bound(self, n):
+    def test_conditional_lower_bound(self, n, term_minima):
         perms = list(all_permutations(n))
         profs = {p.images: interval_profile(p) for p in perms}
         for p in perms:
             for q in perms:
-                if sum_term_min(p, q) < n / 3:
-                    lower = diam_term_min(p, q) / 8
+                sum_min, diam_min = term_minima(p, q)
+                if sum_min < n / 3:
+                    lower = diam_min / 8
                     d = profile_distance(profs[p.images], profs[q.images])
                     assert d >= lower - 1e-9
 
-    def test_swap_pair_at_degree_ten(self):
+    def test_swap_pair_at_degree_ten(self, term_minima):
         # the swapped pair differs on a tight mismatch set, so the diameter
         # floor is 1 and the profile must keep at least 1/8 of it
         ident = Permutation.identity(10)
         t = Permutation.transposition(10)
-        assert diam_term_min(ident, t) == 1
+        assert term_minima(ident, t)[1] == 1
         d = profile_distance(interval_profile(ident), interval_profile(t))
         assert d >= 1 / 8
 
-    def test_degree_two_collapse_is_total(self):
+    def test_degree_two_collapse_is_total(self, term_minima):
         # with only two points no interval has an interior, so nothing is
         # ever excluded and the profile cannot see rotations at all; the
         # diameter lower bound is inherently unattainable at this degree
         ident, swap = all_permutations(2)
         assert profile_distance(interval_profile(ident), interval_profile(swap)) == 0.0
-        assert sum_term_min(ident, swap) == 0
-        assert diam_term_min(ident, swap) == 1
+        assert term_minima(ident, swap) == (0, 1)
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_separating_keys_not_collapsed(self, n):
@@ -273,11 +272,11 @@ class TestCombined:
                 assert combined_distance(x, y) <= 7 + 1e-9
 
     @pytest.mark.parametrize("n", range(2, 6))
-    def test_scaled_grid_within_sum_term(self, n):
+    def test_scaled_grid_within_sum_term(self, n, term_minima):
         perms = list(all_permutations(n))
         for p in perms:
             for q in perms:
-                t1 = sum_term_min(p, q)
+                t1 = term_minima(p, q)[0]
                 scaled = DEFAULT_GRID_SCALE * circle_grid_distance(circle_grid(p), circle_grid(q))
                 assert t1 / math.pi - 1e-9 <= scaled <= t1 + 1e-9
 
@@ -290,7 +289,8 @@ class TestIdentityDistances:
     @staticmethod
     def closed_form(pairs, scale1=DEFAULT_GRID_SCALE):
         sigma = np.array([compose(q, inverse(p)).images for p, q in pairs], dtype=np.int64)
-        return identity_distances(sigma, scale1)
+        grid, profile = identity_distances(sigma)
+        return scale1 * grid + profile
 
     @pytest.mark.parametrize("n", range(1, 6))  # n = 5 spans several chunks
     def test_exhaustive_pairs(self, n):
@@ -299,6 +299,16 @@ class TestIdentityDistances:
         pairs = [(p, q) for p in perms for q in perms]
         want = np.array([combined_distance(x, y) for x in points for y in points])
         assert np.allclose(self.closed_form(pairs), want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_parts_match_their_coordinates(self, n):
+        perms = list(all_permutations(n))
+        grid, profile = identity_distances(np.array([p.images for p in perms]))
+        ident = Permutation.identity(n)
+        want_grid = [circle_grid_distance(circle_grid(ident), circle_grid(p)) for p in perms]
+        want_profile = [profile_distance(interval_profile(ident), interval_profile(p)) for p in perms]
+        assert np.allclose(grid, want_grid, rtol=1e-12, atol=1e-12)
+        assert np.allclose(profile, want_profile, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n", [13, 20, 40])
     def test_seeded_pairs(self, n):
@@ -315,7 +325,8 @@ class TestIdentityDistances:
 
     def test_degree_two_collapses(self):
         # no interval has an interior and the grid of t is a rotation of id's
-        assert identity_distances(np.array([[0, 1], [1, 0]])).tolist() == [0.0, 0.0]
+        grid, profile = identity_distances(np.array([[0, 1], [1, 0]]))
+        assert grid.tolist() == profile.tolist() == [0.0, 0.0]
 
 class TestCircleMedian:
     def test_singleton(self):

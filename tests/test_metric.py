@@ -12,14 +12,11 @@ from perml1.metric import (
     ShiftTerms,
     _rank_deltas,
     bfs_distances,
-    diam_term_min,
     formula_distance,
     formula_length,
     formula_terms_batch,
     generator_neighbors_rows,
     rank_rows,
-    split_check,
-    sum_term_min,
 )
 from perml1.perms import (
     Permutation,
@@ -75,9 +72,26 @@ class TestBfs:
         # (1 2) is reachable in two letters (c then t) and no fewer
         assert tables[3][Permutation(3, (0, 2, 1))] == 2
 
-    def test_guard(self):
-        with pytest.raises(ResourceLimitError):
-            bfs_distances(11)
+    def test_guard(self, monkeypatch):
+        # the table of Sym_13 alone exceeds the budget: refused before any array exists
+        monkeypatch.setattr(metric.np, "full", lambda *a, **k: pytest.fail("table allocated"))
+        with pytest.raises(ResourceLimitError, match="table of Sym_13 needs 6,227,020,800 bytes, over the memory"):
+            bfs_distances(13)
+
+    def test_budget_refuses_a_level_part_way(self, monkeypatch):
+        # the table of Sym_7 fits, a frontier of 100 rows does not
+        monkeypatch.setattr(metric, "MEMORY_BUDGET", 5040 + 100 * metric._bfs_row_bytes(7))
+        with pytest.raises(ResourceLimitError, match=r"level \d+ of the BFS over Sym_7 needs"):
+            bfs_distances(7)
+        monkeypatch.setattr(metric, "MEMORY_BUDGET", 5040 + 1000 * metric._bfs_row_bytes(7))
+        assert bfs_distances(7).dist.max() == 21
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_budget_counts_every_live_array(self, n, traced_peak_and_largest_check):
+        # tracemalloc sees every numpy buffer: their peak stays within the
+        # largest amount the BFS checked against the budget
+        peak, largest = traced_peak_and_largest_check(lambda: bfs_distances(n))
+        assert peak <= largest
 
     @pytest.mark.parametrize("m", [3, 6])
     def test_lookup_rejects_another_degree(self, tables, m):
@@ -212,22 +226,25 @@ class TestFormulaDistance:
 
 
 class TestSplitTerms:
-    def test_examples(self):
+    def test_examples(self, term_minima):
         ident = Permutation.identity(6)
         c = Permutation.rotation(6)
         t = Permutation.transposition(6)
-        assert sum_term_min(ident, c) == 0
-        assert diam_term_min(ident, c) == 1
-        assert sum_term_min(ident, t) == 2
-        assert diam_term_min(ident, t) == 1
-        assert sum_term_min(t, t) == 0 and diam_term_min(t, t) == 0
+        assert term_minima(ident, c) == (0, 1)
+        assert term_minima(ident, t) == (2, 1)
+        assert term_minima(t, t) == (0, 0)
 
-    def test_split_check_examples(self):
+    def test_split_check_examples(self, term_minima):
+        # (joint minimum, split bound 2*(sum min) + (diam min)) per pair
         ident = Permutation.identity(6)
-        assert split_check(ident, Permutation.rotation(6)) == (1, 1, True)
-        assert split_check(ident, Permutation.transposition(6)) == (3, 5, True)
         p = Permutation(6, (2, 4, 0, 5, 3, 1))
-        assert split_check(p, p) == (0, 0, True)
+        for a, b, joint, bound in [
+            (ident, Permutation.rotation(6), 1, 1),
+            (ident, Permutation.transposition(6), 3, 5),
+            (p, p, 0, 0),
+        ]:
+            sum_min, diam_min = term_minima(a, b)
+            assert formula_distance(a, b).value == joint <= bound == 2 * sum_min + diam_min
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_split_holds_per_sigma(self, n, perm_arrays):
