@@ -366,7 +366,7 @@ def drift_walk(
     for t in range(1, horizon + 1):
         g = letters[rng.integers(0, len(letters), trials)]
         if proxy == "bfs":
-            ranks += _rank_deltas(states)[g, np.arange(trials)]
+            ranks += _rank_deltas(n, states[:, 0], states[:, 1], states[:, -1])[g, np.arange(trials)]
             states = np.take_along_axis(states, moves[g], axis=1)
             values = table.dist[ranks].astype(np.float64)
         else:

@@ -85,8 +85,8 @@ def cmd_oracle(args) -> int:
     with _opened(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["perm", "dist"])
-        # all_permutations runs in Lehmer-rank order, the order of table.dist
-        writer.writerows(zip(map(str, all_permutations(args.n)), table.dist.tolist()))
+        # both stream in Lehmer-rank order, so no n!-long list is built
+        writer.writerows(zip(map(str, all_permutations(args.n)), table.dist))
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 from typing import NamedTuple
 
@@ -39,6 +40,9 @@ MEMORY_BUDGET = 1 << 30
 # Largest BFS level the int8 distance table can hold.
 _MAX_LEVEL = np.iinfo(np.int8).max
 
+# The BFS reads its table in blocks of k! ranks, k = min(n, 8): a few MB of temporaries.
+_BLOCK_DEGREE = 8
+
 # Byte budget for the largest temporary of formula_terms_batch, the doubled
 # shift masks of one block of rows: it stays a few MB at any degree.
 _FORMULA_BLOCK_BYTES = 1 << 23
@@ -59,7 +63,7 @@ class DistanceTable:
     """Word lengths of all of Sym_n, indexed by Lehmer rank."""
 
     n: int
-    dist: np.ndarray  # shape (n!,), int8: the diameter is 45 at n = 10
+    dist: np.ndarray  # shape (n!,), int8: the diameter is 66 at n = 12
 
     def __getitem__(self, p: Permutation) -> int:
         if p.n != self.n:
@@ -95,27 +99,32 @@ def generator_neighbors_rows(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return tp, cp, cinvp
 
 
-def _rank_deltas(pos: np.ndarray) -> np.ndarray:
-    """Lehmer-rank change of t*p, c*p and c^-1*p, shape (3, m).
-
-    Takes inverse rows pos (pos[v] = position of value v in p).  With
-    fact[i] = (n-1-i)!, the weight of Lehmer digit i, and
-    prefix[a] = sum(fact[:a]):
-
-    - t swaps the values 0 and 1, which changes only the digits at their
-      positions a = pos[0], b = pos[1]: +fact[a] if a < b, else -fact[b].
-    - c maps value v to v+1 mod n.  Every digit left of a = pos[n-1] gains
-      one (the new 0 lies to its right) and digit a drops from n-1-a to 0:
-      +prefix[a] - (n-1-a) * fact[a].
-    - c^-1 undoes c: with a = pos[0], -prefix[a] + (n-1-a) * fact[a].
-    """
-    n = pos.shape[1]
+@cache
+def _delta_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only swap and up tables of _rank_deltas, built once per degree."""
     idx = np.arange(n)
     fact = np.array([factorial(n - 1 - i) for i in idx], dtype=np.int64)
-    prefix = np.cumsum(fact) - fact
     swap = np.where(idx[:, None] < idx[None, :], fact[:, None], -fact[None, :])
-    up = prefix - (n - 1 - idx) * fact
-    return np.stack([swap[pos[:, 0], pos[:, 1]], up[pos[:, -1]], -up[pos[:, 0]]])
+    up = np.cumsum(fact) - fact - (n - 1 - idx) * fact
+    swap.flags.writeable = up.flags.writeable = False
+    return swap, up
+
+
+def _rank_deltas(n: int, zero: np.ndarray, one: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Lehmer-rank change of t*p, c*p and c^-1*p, shape (3, m), from the
+    positions in p of the values 0, 1 and n-1 (integer arrays over m rows).
+    With fact[i] = (n-1-i)!, the weight of digit i, and prefix[a] = sum(fact[:a]):
+
+    - t swaps the values 0 and 1, which changes only the digits at their
+      positions a = zero, b = one: swap[a, b] = +fact[a] if a < b, else -fact[b].
+    - c maps value v to v+1 mod n.  Every digit left of a = top gains one
+      (the new 0 lies to its right) and digit a drops from n-1-a to 0:
+      up[a] = +prefix[a] - (n-1-a) * fact[a].
+    - c^-1 undoes c: -up[a] with a = zero.
+    """
+    swap, up = _delta_tables(n)
+    # take on the flattened table is several times faster than swap[zero, one]
+    return np.stack([swap.take(n * zero.astype(np.int64) + one), up.take(top), -up.take(zero)])
 
 
 def _generators(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,69 +134,60 @@ def _generators(n: int) -> tuple[np.ndarray, np.ndarray]:
     return gens, gens[[0, 2, 1]]
 
 
-def _bfs_row_bytes(n: int) -> int:
-    """Bytes _expand holds per frontier row at its peak.  Past level 0 a row
-    has at most two unreached neighbours (its parent is reached)."""
-    fresh = kept = 2
-    pick = 26 * fresh + 16 * kept  # fresh, order, ranked, first and its test; chosen and its sort
-    build = 24 * kept + 3 * kept * n  # chosen, gen, row; three copies of the new inverse rows
-    return n + 8 + 24 + max(pick, build)  # plus the row, its rank and the candidate ranks
-
-
-def _expand(pos: np.ndarray, ranks: np.ndarray, dist: np.ndarray, moves: np.ndarray):
-    """Inverse rows and ranks of the neighbours of a frontier that `dist` has
-    not reached, one per new rank, grouped by generator and then by row."""
-    candidates = (ranks + _rank_deltas(pos)).ravel()
-    fresh = np.flatnonzero(dist[candidates] == -1)
-    # one candidate per new rank; ascending indices group them by generator
-    order = fresh[np.argsort(candidates[fresh])]
-    ranked = candidates[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = ranked[1:] != ranked[:-1]
-    chosen = np.sort(order[first])
-    del fresh, order, ranked, first
-    gen, row = np.divmod(chosen, len(pos))
-    groups = np.split(row, np.searchsorted(gen, [1, 2]))
-    pos = np.concatenate([pos[rows][:, move] for rows, move in zip(groups, moves)])
-    return pos, candidates[chosen]
+def _block_rows(n: int, k: int) -> np.ndarray:
+    """The first rows of the blocks of k! consecutive Lehmer ranks of Sym_n in
+    rank order, (n!/k!, n) int8: a row over m values is [v, rest + (rest >= v)]
+    for v < m and rest over m-1 values, and the last k values ascend."""
+    rows = np.arange(k, dtype=np.int8)[None, :]
+    for m in range(k + 1, n + 1):
+        rows = np.concatenate([np.insert(rows + (rows >= v), 0, v, axis=1) for v in range(m)])
+    return rows
 
 
 def bfs_distances(n: int) -> DistanceTable:
     """Exact shortest-path distances from the identity over all of Sym_n.
 
-    Runs a frontier-at-a-time BFS in which no row is ranked from scratch.
-    The frontier is kept as inverse rows pos (pos[v] = position of value v)
-    with their Lehmer ranks.  Left multiplication by a generator is a column
-    move on pos (t swaps columns 0 and 1, c rolls them by +1, c^-1 by -1),
-    and each neighbour's rank is its row's rank plus an O(1) delta
-    (_rank_deltas).  The n! int8 table, and then each level's frontier at
-    _bfs_row_bytes per row, are checked against MEMORY_BUDGET: Sym_11 fits,
-    Sym_12 is refused part way and Sym_13 at once, with ResourceLimitError.
-    A level beyond 127 also raises ResourceLimitError.
+    A table-scan BFS (Korf, JACM 2008): the frontier of level L, the ranks
+    with dist == L, is read in blocks of k! ranks, k = min(n, _BLOCK_DEGREE).
+    A block's rows share their first n-k values (the head) and run through
+    Sym_k on the rest, so the positions of 0, 1 and n-1 that the O(1) rank
+    deltas need (_rank_deltas) come from the head or from Sym_k's rows.
+    Unreached neighbours are written level + 1, duplicates alike.  The table
+    and one block are checked against MEMORY_BUDGET once, before the table
+    exists: Sym_12 fits; Sym_13 raises ResourceLimitError, as does level 128.
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    size = factorial(n)
-    check_memory(size, f"the distance table of Sym_{n}")
+    size, k = factorial(n), min(n, _BLOCK_DEGREE)
+    h, block = n - k, factorial(k)
+    # per block: its first row, an equality test, an argmax and the heads; per rank
+    # of a block: Sym_k's rows, argsort and int8 copies, cols, and the scan's temporaries
+    check_memory(size + (2 * n + 11) * (size // block) + (9 * k + 2 * n + 64) * block,
+                 f"the BFS over Sym_{n}")
     dist = np.full(size, -1, dtype=np.int8)
     dist[0] = 0
     if n == 1:  # Sym_1 is the identity alone, and t needs two columns
         return DistanceTable(n, dist)
-    moves = _generators(n)[1]
-    pos = np.arange(n, dtype=np.int8).reshape(1, n)
-    ranks = np.zeros(1, dtype=np.int64)
-    level = 0
-    while True:
-        check_memory(size + len(pos) * _bfs_row_bytes(n), f"level {level + 1} of the BFS over Sym_{n}")
-        pos, ranks = _expand(pos, ranks, dist, moves)
-        if not len(ranks):
-            break
-        level += 1
-        if level > _MAX_LEVEL:
-            raise ResourceLimitError(
-                f"BFS over Sym_{n} passes level {_MAX_LEVEL}, beyond the int8 distance table"
-            )
-        dist[ranks] = level
+    # cols[j], per row of a block: the position of the head's value at j < h, or of the
+    # (j-h)-th smallest value off the head, which the block's first row (its tail ascends)
+    # has at j.  So heads, the positions of 0, 1 and n-1 in the first rows, index cols.
+    cols = np.concatenate([np.repeat(np.arange(h, dtype=np.int8), block).reshape(h, block),
+                           h + np.argsort(_block_rows(k, 1), axis=1).T.astype(np.int8)])
+    first = _block_rows(n, k)
+    heads = np.array([(first == v).argmax(axis=1).astype(np.int8) for v in (0, 1, n - 1)])
+    reached = 0
+    for level in range(_MAX_LEVEL):
+        for lo, zero, one, top in zip(range(0, size, block), *heads):
+            rows = np.flatnonzero(dist[lo:lo + block] == level)
+            if len(rows):
+                reached += len(rows)
+                deltas = _rank_deltas(n, cols[zero][rows], cols[one][rows], cols[top][rows])
+                candidates = (lo + rows + deltas).ravel()
+                dist[candidates[dist[candidates] == -1]] = level + 1
+        if reached == size:
+            return DistanceTable(n, dist)
+    if dist.min() < 0:
+        raise ResourceLimitError(f"BFS over Sym_{n} passes level {_MAX_LEVEL}, beyond the int8 distance table")
     return DistanceTable(n, dist)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import warnings
 
@@ -10,6 +12,7 @@ from perml1 import metric
 from perml1.metric import (
     ResourceLimitError,
     ShiftTerms,
+    _block_rows,
     _rank_deltas,
     bfs_distances,
     formula_distance,
@@ -75,21 +78,26 @@ class TestBfs:
     def test_guard(self, monkeypatch):
         # the table of Sym_13 alone exceeds the budget: refused before any array exists
         monkeypatch.setattr(metric.np, "full", lambda *a, **k: pytest.fail("table allocated"))
-        with pytest.raises(ResourceLimitError, match="table of Sym_13 needs 6,227,020,800 bytes, over the memory"):
+        with pytest.raises(ResourceLimitError, match="BFS over Sym_13 needs 6,239,266,920 bytes, over the memory"):
             bfs_distances(13)
 
-    def test_budget_refuses_a_level_part_way(self, monkeypatch):
-        # the table of Sym_7 fits, a frontier of 100 rows does not
-        monkeypatch.setattr(metric, "MEMORY_BUDGET", 5040 + 100 * metric._bfs_row_bytes(7))
-        with pytest.raises(ResourceLimitError, match=r"level \d+ of the BFS over Sym_7 needs"):
+    def test_budget_is_checked_once_before_the_table(self, monkeypatch):
+        checked = []
+        check = metric.check_memory
+        monkeypatch.setattr(metric, "check_memory", lambda nbytes, what: checked.append(nbytes) or check(nbytes, what))
+        table = bfs_distances(7).dist
+        assert len(checked) == 1
+        monkeypatch.setattr(metric, "MEMORY_BUDGET", checked[0])
+        assert np.array_equal(bfs_distances(7).dist, table)
+        monkeypatch.setattr(metric, "MEMORY_BUDGET", checked[0] - 1)
+        monkeypatch.setattr(metric.np, "full", lambda *a, **k: pytest.fail("table allocated"))
+        with pytest.raises(ResourceLimitError, match=f"BFS over Sym_7 needs {checked[0]:,} bytes, over the memory"):
             bfs_distances(7)
-        monkeypatch.setattr(metric, "MEMORY_BUDGET", 5040 + 1000 * metric._bfs_row_bytes(7))
-        assert bfs_distances(7).dist.max() == 21
 
-    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("n", [8, 9, 10])
     def test_budget_counts_every_live_array(self, n, traced_peak_and_largest_check):
         # tracemalloc sees every numpy buffer: their peak stays within the
-        # largest amount the BFS checked against the budget
+        # amount the BFS checked against the budget
         peak, largest = traced_peak_and_largest_check(lambda: bfs_distances(n))
         assert peak <= largest
 
@@ -103,17 +111,50 @@ class TestBfs:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_generator_table_acts_by_indexing(self, n, perm_arrays):
-        # the BFS and the drift walk move by indexing the images of t, c, c^-1
+        # the drift walk moves by indexing the images of t, c, c^-1
         rows = perm_arrays[n]
         gens = np.concatenate(generator_neighbors_rows(np.arange(n)[None, :]))
         for g, neighbours in enumerate(generator_neighbors_rows(rows)):
             assert np.array_equal(gens[g][rows], neighbours)
 
-    @pytest.mark.parametrize("n", range(1, 10))
-    def test_matches_reference_bfs(self, n):
+    @pytest.mark.parametrize(
+        "n, block_degree",
+        [pytest.param(n, 8, id=str(n)) for n in range(1, 10)]
+        + [pytest.param(n, k, id=f"{n}-block{k}") for k in (1, 2, 3) for n in range(1, 6 if k == 1 else 8)],
+    )
+    def test_matches_reference_bfs(self, n, block_degree, monkeypatch):
+        # blocks smaller than Sym_n: heads that hold none, some or all of 0, 1 and n-1
+        monkeypatch.setattr(metric, "_BLOCK_DEGREE", block_degree)
         dist = bfs_distances(n).dist
         assert dist.dtype == np.int8
         assert np.array_equal(dist, reference_bfs(n))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_block_rows_are_sym_k_in_rank_order(self, k):
+        rows = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
+        assert np.array_equal(_block_rows(k, 1), rows)
+        for j in range(1, k + 1):
+            # the first row of each block of j! ranks
+            assert np.array_equal(_block_rows(k, j), rows[::math.factorial(j)])
+
+    def test_table_at_degree_ten_is_pinned(self):
+        # golden values, recorded with a frontier BFS
+        dist = bfs_distances(10).dist
+        assert np.bincount(dist).tolist() == [
+            1, 3, 6, 12, 24, 47, 87, 161, 297, 528, 927, 1611, 2726, 4492, 7184, 11109, 16751, 24624,
+            35105, 48718, 66154, 87373, 111996, 140388, 171657, 204213, 236429, 266276, 291271, 308831,
+            316158, 310824, 290837, 254374, 199563, 129134, 61718, 20467, 5183, 1116, 302, 92, 21, 6, 3, 1,
+        ]
+        digest = hashlib.sha256(np.ascontiguousarray(dist, dtype="<i4").tobytes()).hexdigest()
+        assert digest == "bab26a036bce8f89700cd9cb3ac3d30c9d65b05d328939bfa72449d9bbd28181"
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_unique_antipode(self, n):
+        # tau_n = (1, 0, n-1, ..., 2) is the only element at the diameter n(n-1)/2
+        dist = bfs_distances(n).dist
+        tau = Permutation(n, (1, 0) + tuple(range(n - 1, 1, -1)))
+        assert dist.max() == n * (n - 1) // 2
+        assert np.flatnonzero(dist == dist.max()).tolist() == [perm_rank(tau)]
 
     def test_degree_one(self):
         # Sym_1 has no column 1 for t to swap
@@ -334,7 +375,7 @@ class TestBatch:
 def assert_rank_deltas(rows):
     """t, c and c^-1 change rank_rows by exactly the deltas of _rank_deltas."""
     pos = np.argsort(rows, axis=1).astype(np.int8)  # pos[v] = position of v
-    deltas = _rank_deltas(pos)
+    deltas = _rank_deltas(rows.shape[1], pos[:, 0], pos[:, 1], pos[:, -1])
     ranks = rank_rows(rows)
     for neighbours, delta in zip(generator_neighbors_rows(rows), deltas):
         assert np.array_equal(rank_rows(neighbours), ranks + delta)
