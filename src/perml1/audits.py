@@ -41,7 +41,8 @@ from .metric import (
     formula_terms_batch,
     rank_rows,
 )
-from .perms import Permutation, all_permutations
+from .perms import Permutation, _block_degree, _blocks_bytes, perm_blocks
+from .perms import all_permutations  # noqa: F401  the benchmark's tracer (perfbench/spans.py) wraps this binding
 
 __all__ = [
     "PropertyViolation",
@@ -118,6 +119,31 @@ def _check_witness(row: np.ndarray) -> tuple[str, str]:
     return str(p), str(q)
 
 
+def _score(sigma: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray,
+           scale1: float) -> tuple[int, tuple[float, np.ndarray], tuple[float, np.ndarray]]:
+    """Score a batch of rows sigma against their word-length bracket
+    [d_lo, d_hi]: (rows scored, (max expansion, its row), (max contraction,
+    its row)).  Rows with d_lo = 0, a sampled pair that repeats an element,
+    are not scored; a scored row at combined distance 0 is a violation."""
+    distinct = d_lo > 0
+    if not distinct.any():
+        raise PropertyViolation("all sampled pairs were identical; increase sample_size")
+    grid, profile = identity_distances(sigma)
+    with np.errstate(over="ignore"):
+        emb = scale1 * grid + profile
+    del grid, profile  # _check_witness recomputes the witnesses' parts
+    if not np.isfinite(emb.max()):  # distances are >= 0: the max is inf or nan iff one is
+        raise ValueError(f"combined distances overflow at scale1 = {scale1}")
+    exp_ratios = np.where(distinct, emb / np.maximum(d_lo, 1e-300), -1.0)
+    con_ratios = np.where(distinct, d_hi / np.maximum(emb, 1e-300), -1.0)
+    ei, ci = int(exp_ratios.argmax()), int(con_ratios.argmax())
+    if emb[ci] == 0:  # a distinct pair at distance 0 has the largest contraction, >= 1e300 / 3
+        p, q = _witness(sigma[ci])
+        raise PropertyViolation(f"the combined embedding maps distinct elements {p} and {q} to one point")
+    return (int(distinct.sum()), (float(exp_ratios[ei]), sigma[ei].copy()),
+            (float(con_ratios[ci]), sigma[ci].copy()))
+
+
 def distortion_audit(
     n: int,
     mode: str = "exact",
@@ -129,10 +155,11 @@ def distortion_audit(
 
     Each pair (p, q) is scored as sigma = q p^-1 against the identity.  Exact
     mode sweeps every sigma != id, which stands for all n!(n!-1) ordered
-    pairs, or scores a seeded sample of pairs, against the BFS oracle; its
-    arrays are checked against MEMORY_BUDGET before the BFS runs (Sym_10
-    fits).  Envelope mode samples pairs and certifies against the two-sided
-    formula bracket instead.
+    pairs, one block of Lehmer ranks (perm_blocks) at a time, or scores a
+    seeded sample of pairs, against the BFS oracle; its arrays are checked
+    against MEMORY_BUDGET before the BFS runs (the sweep holds the n! table
+    and one block: Sym_12 fits).  Envelope mode samples pairs and certifies
+    against the two-sided formula bracket instead.
     """
     start = time.perf_counter()
     if mode not in ("exact", "envelope"):
@@ -150,57 +177,53 @@ def distortion_audit(
             _elapsed_ms(start),
         )
     rng = np.random.default_rng(seed)
-    pairs_per_row = 1
     if mode == "exact":
         size = factorial(n)
-        # The int8 table and elements, and per scored row at the peak: the
+        # The int8 table and the blocks, and per scored row at the peak: the
         # distinct mask and four float64 arrays (grid, profile, combined and a
         # temporary, or combined, expansion ratios and two temporaries).  A
-        # sampled row also holds its two draws, both rows, quotient and argsort.
-        rows, per_row = (size, 33) if sample_size is None else (sample_size, 33 + 12 * n + 24)
-        check_memory(size * (n + 1) + rows * per_row + _identity_temp_bytes(rows, n),
+        # sampled row also holds its two draws, both rows, quotient and argsort,
+        # next to all n! elements.
+        if sample_size is None:
+            rows, per_row, held = factorial(_block_degree(n)), 33, 0
+        else:
+            rows, per_row, held = sample_size, 33 + 12 * n + 24, size * n
+        check_memory(size + _blocks_bytes(n) + held + rows * per_row + _identity_temp_bytes(rows, n),
                      f"the exact audit of Sym_{n}")
         table = bfs_distances(n)
-        elements = np.fromiter(
-            itertools.chain.from_iterable(p.images for p in all_permutations(n)), dtype=np.int8, count=size * n
-        ).reshape(-1, n)
         if sample_size is None:
-            # all_permutations runs in Lehmer-rank order, and rank 0 is the identity
-            sigma, ranks = elements[1:], slice(1, None)
-            pairs_per_row = size
+            checked, expansion, contraction = 0, (-1.0, None), (-1.0, None)
+            for lo, block in perm_blocks(n):
+                first = 1 if lo == 0 else 0  # rank 0 is the identity
+                if first < len(block):
+                    d = table.dist[lo + first:lo + len(block)]
+                    scored, exp, con = _score(block[first:], d, d, scale1)
+                    checked += scored
+                    # strict: the first rank wins ties, as an argmax over all of Sym_n would
+                    expansion = exp if exp[0] > expansion[0] else expansion
+                    contraction = con if con[0] > contraction[0] else contraction
+            checked *= size
         else:
+            elements = np.empty((size, n), dtype=np.int8)
+            for lo, block in perm_blocks(n):
+                elements[lo:lo + len(block)] = block
             ii = rng.integers(0, size, sample_size)
             jj = rng.integers(0, size - 1, sample_size)
             jj = np.where(jj >= ii, jj + 1, jj)
             sigma = _quotients(elements[ii], elements[jj])
-            ranks = rank_rows(sigma)
-        d_lo = d_hi = table.dist[ranks]
+            d = table.dist[rank_rows(sigma)]
+            checked, expansion, contraction = _score(sigma, d, d, scale1)
     else:
         p_rows = np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64)
         q_rows = np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64)
         sigma = _quotients(p_rows, q_rows)
-        d_lo, d_hi = _bracket(*formula_terms_batch(sigma))
+        checked, expansion, contraction = _score(sigma, *_bracket(*formula_terms_batch(sigma)), scale1)
 
-    distinct = d_lo > 0  # false only where a sampled pair repeats an element
-    if not distinct.any():
-        raise PropertyViolation("all sampled pairs were identical; increase sample_size")
-    grid, profile = identity_distances(sigma)
-    with np.errstate(over="ignore"):
-        emb = scale1 * grid + profile
-    del grid, profile  # _check_witness recomputes the witnesses' parts
-    if not np.isfinite(emb.max()):  # distances are >= 0: the max is inf or nan iff one is
-        raise ValueError(f"combined distances overflow at scale1 = {scale1}")
-    exp_ratios = np.where(distinct, emb / np.maximum(d_lo, 1e-300), -1.0)
-    con_ratios = np.where(distinct, d_hi / np.maximum(emb, 1e-300), -1.0)
-    ei, ci = int(exp_ratios.argmax()), int(con_ratios.argmax())
-    if emb[ci] == 0:  # a distinct pair at distance 0 has the largest contraction, >= 1e300 / 3
-        p, q = _witness(sigma[ci])
-        raise PropertyViolation(f"the combined embedding maps distinct elements {p} and {q} to one point")
     return DistortionReport(
-        n, mode, pairs_per_row * int(distinct.sum()),
-        float(exp_ratios[ei]), _check_witness(sigma[ei]),
-        float(con_ratios[ci]), _check_witness(sigma[ci]),
-        float(exp_ratios[ei] * con_ratios[ci]), scale1, sample_size, seed,
+        n, mode, checked,
+        expansion[0], _check_witness(expansion[1]),
+        contraction[0], _check_witness(contraction[1]),
+        expansion[0] * contraction[0], scale1, sample_size, seed,
         _elapsed_ms(start),
     )
 

@@ -18,6 +18,8 @@ import numpy as np
 
 from .perms import (
     Permutation,
+    _block_degree,
+    _block_rows,
     compose,
     cycle_diam,
     cycle_dist,
@@ -39,9 +41,6 @@ MEMORY_BUDGET = 1 << 30
 
 # Largest BFS level the int8 distance table can hold.
 _MAX_LEVEL = np.iinfo(np.int8).max
-
-# The BFS reads its table in blocks of k! ranks, k = min(n, 8): a few MB of temporaries.
-_BLOCK_DEGREE = 8
 
 # Byte budget for the largest temporary of formula_terms_batch, the doubled
 # shift masks of one block of rows: it stays a few MB at any degree.
@@ -134,21 +133,11 @@ def _generators(n: int) -> tuple[np.ndarray, np.ndarray]:
     return gens, gens[[0, 2, 1]]
 
 
-def _block_rows(n: int, k: int) -> np.ndarray:
-    """The first rows of the blocks of k! consecutive Lehmer ranks of Sym_n in
-    rank order, (n!/k!, n) int8: a row over m values is [v, rest + (rest >= v)]
-    for v < m and rest over m-1 values, and the last k values ascend."""
-    rows = np.arange(k, dtype=np.int8)[None, :]
-    for m in range(k + 1, n + 1):
-        rows = np.concatenate([np.insert(rows + (rows >= v), 0, v, axis=1) for v in range(m)])
-    return rows
-
-
 def bfs_distances(n: int) -> DistanceTable:
     """Exact shortest-path distances from the identity over all of Sym_n.
 
     A table-scan BFS (Korf, JACM 2008): the frontier of level L, the ranks
-    with dist == L, is read in blocks of k! ranks, k = min(n, _BLOCK_DEGREE).
+    with dist == L, is read in blocks of k! ranks, k = _block_degree(n).
     A block's rows share their first n-k values (the head) and run through
     Sym_k on the rest, so the positions of 0, 1 and n-1 that the O(1) rank
     deltas need (_rank_deltas) come from the head or from Sym_k's rows.
@@ -158,7 +147,7 @@ def bfs_distances(n: int) -> DistanceTable:
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    size, k = factorial(n), min(n, _BLOCK_DEGREE)
+    size, k = factorial(n), _block_degree(n)
     h, block = n - k, factorial(k)
     # per block: its first row, an equality test, an argmax and the heads; per rank
     # of a block: Sym_k's rows, argsort and int8 copies, cols, and the scan's temporaries

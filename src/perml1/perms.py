@@ -4,7 +4,8 @@ Permutations are stored in one-line (image array) form: ``images[k] = p(k)``.
 Products are read right to left, as in function composition, so
 ``compose(p, q)`` applies ``q`` first.  Generator words are sequences over
 the alphabet {t, c, c^-1} written left to right; the rightmost letter acts
-first, matching the way words like "tctCt" are read.
+first, matching the way words like "tctCt" are read.  Array code walks all
+of Sym_n as int8 rows, in blocks of consecutive Lehmer ranks (perm_blocks).
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 __all__ = [
     "T", "C", "CINV", "LETTERS",
     "Permutation", "GeneratorWord", "CycleDecomposition",
     "compose", "inverse", "eval_word",
     "cycle_dist", "cycle_diam", "cycle_decompose",
-    "perm_rank", "perm_unrank", "all_permutations",
+    "perm_rank", "perm_unrank", "all_permutations", "perm_blocks",
 ]
 
 # Word alphabet.  These double as the one-character text encoding: a word is
@@ -30,6 +33,10 @@ CINV = "C"
 LETTERS = (T, C, CINV)
 
 _INVERSE_LETTER = {T: T, C: CINV, CINV: C}
+
+# Array code walks Sym_n in blocks of k! consecutive Lehmer ranks,
+# k = min(n, _BLOCK_DEGREE): a block of Sym_8 rows is 40,320 x n int8.
+_BLOCK_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -247,3 +254,43 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     """All of Sym_n in Lehmer-rank (lexicographic) order."""
     for images in itertools.permutations(range(n)):
         yield Permutation(n, images)
+
+
+def _block_degree(n: int) -> int:
+    """k of the blocks of k! consecutive ranks in which array code walks Sym_n."""
+    return min(n, _BLOCK_DEGREE)
+
+
+def _block_rows(n: int, k: int) -> np.ndarray:
+    """The first rows of the blocks of k! consecutive Lehmer ranks of Sym_n in
+    rank order, (n!/k!, n) int8: a row over m values is [v, rest + (rest >= v)]
+    for v < m and rest over m-1 values, and the last k values ascend."""
+    rows = np.arange(k, dtype=np.int8)[None, :]
+    for m in range(k + 1, n + 1):
+        rows = np.concatenate([np.insert(rows + (rows >= v), 0, v, axis=1) for v in range(m)])
+    return rows
+
+
+def _blocks_bytes(n: int) -> int:
+    """Bytes perm_blocks(n) holds at once: the first rows, Sym_k's rows, and
+    one block with its tail."""
+    k = _block_degree(n)
+    block = factorial(k)
+    return n * (factorial(n) // block) + (2 * k + n) * block
+
+
+def perm_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Sym_n in Lehmer-rank order as arrays: (lo, rows) per block, where rows
+    is the (k!, n) int8 array of ranks lo .. lo + k! - 1, k = _block_degree(n).
+    A block's rows share the first n-k values of its first row; the rest are
+    that row's last k values, which ascend, indexed by Sym_k's rows.  Each
+    block is a new array."""
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
+    k = _block_degree(n)
+    sym_k = _block_rows(k, 1)
+    for i, first in enumerate(_block_rows(n, k)):
+        rows = np.empty((len(sym_k), n), dtype=np.int8)
+        rows[:, :n - k] = first[:n - k]
+        rows[:, n - k:] = first[n - k:][sym_k]
+        yield i * len(sym_k), rows

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -76,10 +77,33 @@ class TestDistortionExact:
             assert report.max_contraction == pytest.approx(con, rel=1e-12)
             assert report.expansion_witness[0] == str(Permutation.identity(n))
 
+    @pytest.mark.parametrize("block_degree", [2, 3])
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_streamed_sweep_matches_one_block(self, n, block_degree, monkeypatch):
+        # one block holds Sym_n unpatched; patched, the running maxima cross blocks
+        whole = distortion_audit(n)
+        monkeypatch.setattr("perml1.perms._BLOCK_DEGREE", block_degree)
+        streamed = distortion_audit(n)
+        for key in ("distortion", "max_expansion", "max_contraction"):
+            assert getattr(streamed, key) == pytest.approx(getattr(whole, key), rel=1e-12, abs=0)
+        assert streamed.expansion_witness == whole.expansion_witness
+        assert streamed.contraction_witness == whole.contraction_witness
+        assert streamed.pairs_checked == whole.pairs_checked
+
+    @pytest.mark.slow
+    def test_sym11_is_pinned(self):
+        # the streamed sweep over 11! - 1 elements: about 25 s and 85 MB
+        report = distortion_audit(11)
+        identity = str(Permutation.identity(11))
+        assert report.distortion == pytest.approx(16.180579260482038, rel=1e-9, abs=0)
+        assert report.expansion_witness == (identity, str(Permutation.transposition(11)))
+        assert report.contraction_witness == (identity, "1,0,10,9,8,7,6,5,4,3,2")  # tau_11
+        assert report.pairs_checked == math.factorial(11) * (math.factorial(11) - 1)
+
     def test_guard(self):
-        # refused before the BFS runs
-        with pytest.raises(ResourceLimitError, match="exact audit of Sym_11 needs .* over the memory budget"):
-            distortion_audit(11)
+        # refused before the BFS runs: the sweep holds the n! table, 6.2 GB at n = 13
+        with pytest.raises(ResourceLimitError, match="exact audit of Sym_13 needs .* over the memory budget"):
+            distortion_audit(13)
 
     def test_single_element_group_is_isometric(self):
         report = distortion_audit(1)
@@ -145,7 +169,7 @@ class TestMemoryBudget:
     """tracemalloc sees every numpy buffer: their peak must stay within the
     largest amount an audit checked against the budget."""
 
-    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("n", [7, 8, 9])
     def test_exact_audit(self, n, traced_peak_and_largest_check):
         peak, largest = traced_peak_and_largest_check(lambda: distortion_audit(n))
         assert peak <= largest

@@ -5,10 +5,12 @@ import math
 import pathlib
 import shlex
 
+import numpy as np
 import pytest
 
 from perml1 import metric
-from perml1.cli import main
+from perml1.cli import _csv_lines, main
+from perml1.perms import all_permutations
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_distortion.json"
 
@@ -53,6 +55,27 @@ class TestOracle:
                     '"1,2,0",1\r\n"2,0,1",1\r\n"2,1,0",2\r\n')
         assert code == 0 and out == expected
         assert target.read_bytes() == expected.encode()
+
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bytes_match_csv_writer(self, n, tmp_path):
+        # the reference: csv.writer over Permutation objects, as the oracle once wrote it
+        reference = io.StringIO()
+        writer = csv.writer(reference)
+        writer.writerow(["perm", "dist"])
+        writer.writerows(zip(map(str, all_permutations(n)), metric.bfs_distances(n).dist))
+        target = tmp_path / "oracle.csv"
+        assert main(["oracle", "--n", str(n), "--out", str(target)]) == 0
+        assert target.read_bytes() == reference.getvalue().encode()
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_formatter_matches_csv_writer_on_two_digit_values(self, n):
+        rng = np.random.default_rng(n)
+        rows = np.array([rng.permutation(n) for _ in range(500)], dtype=np.int8)
+        dist = (np.arange(500) % 128).astype(np.int8)  # every int8 distance, 0 to 127
+        reference = io.StringIO()
+        csv.writer(reference).writerows((",".join(map(str, row)), int(d)) for row, d in zip(rows, dist))
+        assert _csv_lines(rows, dist) == reference.getvalue()
 
 
 class TestFormula:
@@ -207,7 +230,7 @@ class TestBudget:
         # 40 KB table and one small block.  Beyond that the command may hold
         # argparse and the CSV writer's buffers (about 0.2 MB on Python
         # 3.11), but not a list of the 40,320 distances (0.32 MB).
-        monkeypatch.setattr(metric, "_BLOCK_DEGREE", 6)
+        monkeypatch.setattr("perml1.perms._BLOCK_DEGREE", 6)
         out = tmp_path / "oracle.csv"
         argv = ["oracle", "--n", "8", "--out", str(out)]
         main(["oracle", "--n", "1", "--out", str(out)])  # lazy imports stay out of the measurement

@@ -12,7 +12,6 @@ from perml1 import metric
 from perml1.metric import (
     ResourceLimitError,
     ShiftTerms,
-    _block_rows,
     _rank_deltas,
     bfs_distances,
     formula_distance,
@@ -23,6 +22,7 @@ from perml1.metric import (
 )
 from perml1.perms import (
     Permutation,
+    _block_rows,
     all_permutations,
     compose,
     cycle_diam,
@@ -124,7 +124,7 @@ class TestBfs:
     )
     def test_matches_reference_bfs(self, n, block_degree, monkeypatch):
         # blocks smaller than Sym_n: heads that hold none, some or all of 0, 1 and n-1
-        monkeypatch.setattr(metric, "_BLOCK_DEGREE", block_degree)
+        monkeypatch.setattr("perml1.perms._BLOCK_DEGREE", block_degree)
         dist = bfs_distances(n).dist
         assert dist.dtype == np.int8
         assert np.array_equal(dist, reference_bfs(n))
