@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -21,8 +22,6 @@ from .perms import (
     _block_degree,
     _block_rows,
     compose,
-    cycle_diam,
-    cycle_dist,
     inverse,
     perm_rank,
 )
@@ -205,18 +204,35 @@ class FormulaBreakdown:
 
 
 def formula_length(p: Permutation) -> FormulaBreakdown:
-    """Scans every shift l in Python.
+    """Per-shift terms of one element: the method of formula_terms_batch in
+    Python ints, O(n^2) where a pairwise scan of the mismatch set is O(n^3).
 
     sum(l) = sum_k d(k, p(k)+l) on the n-cycle; the diameter term covers
     {0, l} together with the points where p differs from the rotation x -> x-l.
+    Here sum(l) = sum_d hist[d] * dist0[(d + l) mod n] over the displacement
+    histogram, and the diameter is the largest v <= n // 2 with
+    M & rot_v(M) != 0 for the n-bit member mask M of shift l.
     """
     n = p.n
+    hist = [0] * n
+    matched = [0] * n  # matched[l]: bit mask of the positions shift l matches
+    for q, image in enumerate(p.images):
+        d = (image - q) % n
+        hist[d] += 1
+        matched[-d % n] |= 1 << q
+    dist0 = [min(d, n - d) for d in range(n)] * 2  # doubled: column l is dist0[l:l + n]
+    full = (1 << n) - 1
     terms = []
     for l in range(n):
-        s = sum(cycle_dist(n, k, (p.images[k] + l) % n) for k in range(n))
-        mismatch = [q for q in range(n) if p.images[q] != (q - l) % n]
-        d = cycle_diam(n, [0, l] + mismatch)
-        terms.append(ShiftTerms(l, s, d))
+        s = sum(map(mul, hist, dist0[l:l + n]))
+        member = (full & ~matched[l]) | 1 | 1 << l
+        doubled = member | member << n  # bit j + v of doubled is bit (j + v) mod n of member
+        diam = 0
+        for v in range(n // 2, 0, -1):
+            if doubled >> v & member:
+                diam = v
+                break
+        terms.append(ShiftTerms(l, s, diam))
     value = min(t.sum + t.diam for t in terms)
     l_star = next(t.l for t in terms if t.sum + t.diam == value)
     return FormulaBreakdown(n, tuple(terms), l_star, value)

@@ -20,6 +20,7 @@ from .perms import (
     GeneratorWord,
     Permutation,
     T,
+    _INVERSE_LETTER,
     compose,
     cycle_decompose,
     cycle_dist,
@@ -49,11 +50,7 @@ def free_reduce(letters: Sequence[str]) -> list[str]:
     """Cancel adjacent tt, cC and Cc pairs (t is an involution)."""
     stack: list[str] = []
     for g in letters:
-        if stack and (
-            (stack[-1] == T and g == T)
-            or (stack[-1] == C and g == CINV)
-            or (stack[-1] == CINV and g == C)
-        ):
+        if stack and stack[-1] == _INVERSE_LETTER.get(g):
             stack.pop()
         else:
             stack.append(g)
@@ -78,12 +75,15 @@ def word_transposition_from_zero(n: int, l: int) -> GeneratorWord:
     l %= n
     if l == 0:
         raise ValueError("(0 0) is not a transposition")
+    return GeneratorWord(n, tuple(_transposition_letters(n, l)))
+
+
+def _transposition_letters(n: int, l: int) -> list[str]:
+    """The letters of word_transposition_from_zero(n, l), for 0 < l < n."""
     if l <= n // 2:
-        letters = [T, C] * (l - 1) + [T] + [CINV, T] * (l - 1)
-    else:
-        back = n - l
-        letters = [CINV, T] * (back - 1) + [CINV, T, C] + [T, C] * (back - 1)
-    return GeneratorWord(n, tuple(letters))
+        return [T, C] * (l - 1) + [T] + [CINV, T] * (l - 1)
+    back = n - l
+    return [CINV, T] * (back - 1) + [CINV, T, C] + [T, C] * (back - 1)
 
 
 def word_transposition(n: int, k: int, m: int) -> GeneratorWord:
@@ -92,8 +92,7 @@ def word_transposition(n: int, k: int, m: int) -> GeneratorWord:
     m %= n
     if k == m:
         raise ValueError("transposition endpoints must differ")
-    base = word_transposition_from_zero(n, (m - k) % n)
-    letters = rotation_word(n, k) + list(base.letters) + rotation_word(n, -k)
+    letters = rotation_word(n, k) + _transposition_letters(n, (m - k) % n) + rotation_word(n, -k)
     return GeneratorWord(n, tuple(free_reduce(letters)))
 
 
@@ -110,7 +109,7 @@ def _emit_transposition_stream(
     pos = start_pos
     for a, b in stream:
         letters += rotation_word(n, a - pos)
-        letters += list(word_transposition_from_zero(n, (b - a) % n).letters)
+        letters += _transposition_letters(n, (b - a) % n)
         pos = a
     return letters, pos
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,21 @@ import pytest
 
 from perml1 import audits, metric
 from perml1.metric import bfs_distances, formula_distance
+from perml1.perms import Permutation
+
+
+def seeded_elements(n, count):
+    """`count` elements of Sym_n, shuffled by random.Random(n)."""
+    rng = random.Random(n)
+    for _ in range(count):
+        images = list(range(n))
+        rng.shuffle(images)
+        yield Permutation(n, tuple(images))
+
+
+def tau(n):
+    """tau_n = (1, 0, n-1, ..., 2), the unique antipode of Sym_n for 4 <= n <= 12."""
+    return Permutation(n, (1, 0) + tuple(range(n - 1, 1, -1)))
 
 
 @pytest.fixture(scope="session")

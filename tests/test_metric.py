@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import seeded_elements, tau
+
 from perml1 import metric
 from perml1.metric import (
     ResourceLimitError,
@@ -49,6 +51,26 @@ def reference_bfs(n):
         dist[ranks] = level
         frontier = candidates[fresh][first]
     return dist
+
+
+def reference_terms(p):
+    """Per-shift terms of p by the plain scan: for each shift l, the cycle_dist
+    sum and cycle_diam of {0, l} with the mismatch set.  O(n^3) per element."""
+    n = p.n
+    terms = []
+    for l in range(n):
+        s = sum(cycle_dist(n, k, (p.images[k] + l) % n) for k in range(n))
+        mismatch = [q for q in range(n) if p.images[q] != (q - l) % n]
+        terms.append(ShiftTerms(l, s, cycle_diam(n, [0, l] + mismatch)))
+    return tuple(terms)
+
+
+def assert_matches_reference(p):
+    fb = formula_length(p)
+    terms = reference_terms(p)
+    assert fb.per_shift == terms
+    assert fb.value == min(t.sum + t.diam for t in terms)
+    assert fb.l_star == next(t.l for t in terms if t.sum + t.diam == fb.value)
 
 
 def pairwise_terms(p, q):
@@ -152,9 +174,8 @@ class TestBfs:
     def test_unique_antipode(self, n):
         # tau_n = (1, 0, n-1, ..., 2) is the only element at the diameter n(n-1)/2
         dist = bfs_distances(n).dist
-        tau = Permutation(n, (1, 0) + tuple(range(n - 1, 1, -1)))
         assert dist.max() == n * (n - 1) // 2
-        assert np.flatnonzero(dist == dist.max()).tolist() == [perm_rank(tau)]
+        assert np.flatnonzero(dist == dist.max()).tolist() == [perm_rank(tau(n))]
 
     def test_degree_one(self):
         # Sym_1 has no column 1 for t to swap
@@ -232,6 +253,28 @@ class TestFormulaLength:
         assert d["value"] == 1 and d["l_star"] == 5
         assert len(d["per_shift"]) == 6
         assert set(d["per_shift"][0]) == {"l", "sum", "diam"}
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_reference_exhaustive(self, n):
+        for p in all_permutations(n):
+            assert_matches_reference(p)
+
+    # the reference is O(n^3): 200 elements take about 3 s at each of n = 63..65
+    # and 22 s at each of n = 128, 129, so those degrees run with the slow tests
+    @pytest.mark.parametrize(
+        "n", [9, 12, 40] + [pytest.param(n, marks=pytest.mark.slow) for n in (63, 64, 65, 128, 129)])
+    def test_matches_reference_sampled(self, n):
+        for p in seeded_elements(n, 200):
+            assert_matches_reference(p)
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_matches_reference_on_families(self, n):
+        # the identity, c, t and tau_n: the fewest and the most mismatches
+        family = [Permutation.identity(n), Permutation.rotation(n)]
+        if n >= 2:
+            family += [Permutation.transposition(n), tau(n)]
+        for p in family:
+            assert_matches_reference(p)
 
 
 class TestFormulaDistance:
@@ -314,21 +357,24 @@ class TestSplitTerms:
 
 
 class TestBatch:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_pure_python(self, n, perm_arrays):
         sums, diams = formula_terms_batch(perm_arrays[n])
         for i, p in enumerate(all_permutations(n)):
-            fb = formula_length(p)
-            assert sums[i].tolist() == [t.sum for t in fb.per_shift]
-            assert diams[i].tolist() == [t.diam for t in fb.per_shift]
+            terms = reference_terms(p)
+            assert sums[i].tolist() == [t.sum for t in terms]
+            assert diams[i].tolist() == [t.diam for t in terms]
 
     @staticmethod
     def _assert_matches_scalar(rows):
+        # against the plain scan, and formula_length against it too
         sums, diams = formula_terms_batch(rows)
         for row, row_sums, row_diams in zip(rows, sums, diams):
-            fb = formula_length(Permutation(len(row), tuple(int(x) for x in row)))
-            assert row_sums.tolist() == [t.sum for t in fb.per_shift]
-            assert row_diams.tolist() == [t.diam for t in fb.per_shift]
+            p = Permutation(len(row), tuple(int(x) for x in row))
+            terms = reference_terms(p)
+            assert row_sums.tolist() == [t.sum for t in terms]
+            assert row_diams.tolist() == [t.diam for t in terms]
+            assert formula_length(p).per_shift == terms
 
     @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
     def test_matches_pure_python_at_word_boundaries(self, n):

@@ -1,8 +1,11 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import seeded_elements, tau
 
 from perml1.metric import formula_length
 from perml1.perms import (
@@ -173,3 +176,21 @@ class TestSynthesize:
             cert = synthesize(p)
             assert eval_word(cert.word) == p
             assert cert.length <= cert.certified_bound
+
+    def test_output_is_pinned(self):
+        # one digest over every word, bound and shift: a change to any letter
+        # of any of these 8,913 words changes it
+        digest = hashlib.sha256()
+        elements = [p for n in range(1, 8) for p in all_permutations(n)]
+        elements += [p for n in (9, 20, 40) for p in seeded_elements(n, 1000)]
+        for p in elements:
+            cert = synthesize(p)
+            digest.update(f"{cert.word} {cert.certified_bound} {cert.shift_used}\n".encode())
+        assert digest.hexdigest() == "1b4e9329d579dd5ce2ad881eead97ff0cd7e1a2c87b8def8537843deee522a24"
+
+    @pytest.mark.parametrize("n", range(4, 65))
+    def test_tau_word_length(self, n):
+        # n(n-1)/2, the BFS diameter for n <= 12, except two letters more at n = 2 mod 4
+        cert = synthesize(tau(n))
+        assert eval_word(cert.word) == tau(n)
+        assert cert.length == n * (n - 1) // 2 + (2 if n % 4 == 2 else 0)
