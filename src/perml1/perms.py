@@ -31,6 +31,7 @@ T = "t"
 C = "c"
 CINV = "C"
 LETTERS = (T, C, CINV)
+_LETTER_SET = frozenset(LETTERS)
 
 _INVERSE_LETTER = {T: T, C: CINV, CINV: C}
 
@@ -117,8 +118,11 @@ class GeneratorWord:
     letters: tuple[str, ...]
 
     def __post_init__(self):
-        bad = [g for g in self.letters if g not in LETTERS]
-        if bad:
+        try:  # one set inclusion; the per-letter scan runs only when it fails
+            known = _LETTER_SET.issuperset(self.letters)
+        except TypeError:  # an unhashable item: let the scan decide
+            known = False
+        if not known and (bad := [g for g in self.letters if g not in LETTERS]):
             raise ValueError(f"unknown letters {bad!r}; alphabet is {LETTERS}")
         if self.n < 1:
             raise ValueError(f"degree must be >= 1, got {self.n}")

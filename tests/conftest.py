@@ -1,13 +1,15 @@
 import itertools
 import random
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from perml1 import audits, metric
-from perml1.metric import bfs_distances, formula_distance
-from perml1.perms import Permutation
+from perml1.embed import identity_distances
+from perml1.metric import bfs_distances, formula_distance, formula_terms_batch, generator_neighbors_rows
+from perml1.perms import Permutation, perm_blocks
 
 
 def seeded_elements(n, count):
@@ -22,6 +24,44 @@ def seeded_elements(n, count):
 def tau(n):
     """tau_n = (1, 0, n-1, ..., 2), the unique antipode of Sym_n for 4 <= n <= 12."""
     return Permutation(n, (1, 0) + tuple(range(n - 1, 1, -1)))
+
+
+def generator_edges(n):
+    """Grid and profile parts of d(p, g p) for g = t, c, c^-1, each an array in
+    that order, scored on the rows generator_neighbors_rows gives for the
+    identity.  Both distances are right-invariant, so for every p this is
+    d(id, g)."""
+    return identity_distances(np.concatenate(generator_neighbors_rows(np.arange(n)[None])))
+
+
+class Sweep(NamedTuple):
+    """Every element sigma of one Sym_n, in Lehmer-rank order, with its scores.
+    The formula, grid and profile distances are right-invariant, so sigma
+    stands for the n! pairs (p, sigma p)."""
+
+    rows: np.ndarray  # (n!, n) int8
+    t1: np.ndarray  # min over shifts of the sum term
+    t2: np.ndarray  # min over shifts of the diameter term
+    value: np.ndarray  # F = min over shifts of sum + diam
+    upper: np.ndarray  # min over shifts of 6 sum + 2 diam
+    grid: np.ndarray  # grid distance d(id, sigma)
+    profile: np.ndarray  # profile distance d(id, sigma)
+
+
+@pytest.fixture(scope="session")
+def sweep():
+    """A Sweep of Sym_n for n = 1..9."""
+
+    def scores(rows):
+        sums, diams = formula_terms_batch(rows)
+        mins = [sums.min(axis=1), diams.min(axis=1), (sums + diams).min(axis=1),
+                (6 * sums + 2 * diams).min(axis=1)]
+        return [rows, *mins, *identity_distances(rows)]
+
+    return {
+        n: Sweep(*map(np.concatenate, zip(*(scores(rows) for _, rows in perm_blocks(n)))))
+        for n in range(1, 10)
+    }
 
 
 @pytest.fixture(scope="session")

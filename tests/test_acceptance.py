@@ -9,35 +9,21 @@ import json
 import math
 import pathlib
 import random
-import time
 
 import numpy as np
 import pytest
 
+from conftest import generator_edges
+
 from perml1.audits import cube_audit, distortion_audit, drift_slope, drift_walk
 from perml1.embed import (
-    circle_grid,
     circle_median,
     avg_vs_min_check,
     count_separating_intervals,
-    interval_profile,
-    profile_distance,
+    identity_distances,
 )
-from perml1.metric import (
-    formula_distance,
-    formula_length,
-    formula_terms_batch,
-    generator_neighbors_rows,
-    rank_rows,
-)
-from perml1.perms import (
-    Permutation,
-    all_permutations,
-    compose,
-    cycle_diam,
-    cycle_dist,
-    inverse,
-)
+from perml1.metric import formula_length, formula_terms_batch, generator_neighbors_rows, rank_rows
+from perml1.perms import Permutation, cycle_diam, cycle_dist
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_distortion.json"
 
@@ -50,195 +36,118 @@ def report(num, name, ok, detail=""):
     return ok
 
 
-def test_criterion_1_word_metric_sandwich(tables, perm_arrays):
-    start = time.perf_counter()
+def coverage(counts):
+    """`counts` maps n to a number of elements of Sym_n; each stands for the
+    n! pairs (p, sigma p), since every distance checked is right-invariant."""
+    pairs = sum(k * math.factorial(n) for n, k in counts.items())
+    return f"elements checked {sum(counts.values()):,}, standing for {pairs:,} pairs"
+
+
+def test_criterion_1_word_metric_sandwich(tables, sweep):
     ok = True
     worst = 0.0
     for n in range(2, 8):
-        sums, diams = formula_terms_batch(perm_arrays[n])
-        value = (sums + diams).min(axis=1)
-        upper = (6 * sums + 2 * diams).min(axis=1)
+        value, upper = sweep[n].value, sweep[n].upper
         d = tables[n].dist.astype(np.int64)
         ok &= bool((value <= 3 * d).all() and (d <= upper).all() and (upper <= 6 * value).all())
         nz = value > 0
         worst = max(worst, float((3 * d[nz] / value[nz]).max()))
-    elapsed = time.perf_counter() - start
     assert report(
         1, "word-metric sandwich F/3 <= BFS <= min(6s+2d) <= 6F, n=2..7", ok,
-        f"max 3*BFS/F={worst:.3f}, {elapsed:.1f}s",
+        f"max 3*BFS/F={worst:.3f}",
     )
 
 
-def test_criterion_2_splitting(perm_arrays):
-    ok = True
-    pairs_total = 0
-    counterexamples = []
-    for n in range(2, 7):
-        arr = perm_arrays[n]
-        sums, diams = formula_terms_batch(arr)
-        value = (sums + diams).min(axis=1)
-        bound = 2 * sums.min(axis=1) + diams.min(axis=1)
-        inv_rows = np.argsort(arr, axis=1)
-        for i in range(len(arr)):
-            ranks = rank_rows(arr[:, inv_rows[i]])
-            bad = value[ranks] > bound[ranks]
-            pairs_total += len(arr) - 1
-            if bad.any():
-                ok = False
-                j = int(bad.nonzero()[0][0])
-                p = Permutation(n, tuple(arr[i]))
-                q = Permutation(n, tuple(arr[j]))
-                counterexamples.append(formula_distance(p, q).to_json_dict())
-    rng = np.random.default_rng(20240)
-    for n in (7, 8):
-        p_rows = np.array([rng.permutation(n) for _ in range(100_000)], dtype=np.int64)
-        q_rows = np.array([rng.permutation(n) for _ in range(100_000)], dtype=np.int64)
-        sigma = np.take_along_axis(q_rows, np.argsort(p_rows, axis=1), axis=1)
-        sums, diams = formula_terms_batch(sigma)
-        bad = (sums + diams).min(axis=1) > 2 * sums.min(axis=1) + diams.min(axis=1)
-        pairs_total += 100_000
-        ok &= not bad.any()
-    if counterexamples:
-        print(json.dumps(counterexamples[:3], indent=2))
-    assert report(2, "splitting min(s+d) <= 2*min(s) + min(d)", ok, f"pairs checked {pairs_total:,}")
+def test_criterion_2_splitting(sweep):
+    failing = []
+    for n in range(2, 10):
+        s = sweep[n]
+        failing += [s.rows[i] for i in np.flatnonzero(s.value > 2 * s.t1 + s.t2)[:1]]
+    if failing:
+        sigma = Permutation(len(failing[0]), tuple(failing[0].tolist()))
+        print(json.dumps(formula_length(sigma).to_json_dict(), indent=2))
+    assert report(
+        2, "splitting min(s+d) <= 2*min(s) + min(d), n=2..9", not failing,
+        coverage({n: len(sweep[n].rows) for n in range(2, 10)}),
+    )
 
 
-def test_criterion_3_grid_frame(perm_arrays):
+def test_criterion_3_grid_frame(sweep):
     ok = True
     lo_ratio, hi_ratio = math.inf, 0.0
-    for n in range(2, 6):
-        arr = perm_arrays[n]
-        grids = np.array([circle_grid(p).entries.reshape(-1) for p in all_permutations(n)])
-        sums, _ = formula_terms_batch(arr)
-        t1 = sums.min(axis=1)
-        inv_rows = np.argsort(arr, axis=1)
-        for i in range(len(arr)):
-            t1_row = t1[rank_rows(arr[:, inv_rows[i]])].astype(np.float64)
-            gd = np.abs(grids[i] - grids).sum(axis=1)
-            nz = t1_row > 0
-            ok &= bool((gd[~nz] < 1e-9).all())
-            if nz.any():
-                ratios = gd[nz] / t1_row[nz]
-                lo_ratio = min(lo_ratio, float(ratios.min()))
-                hi_ratio = max(hi_ratio, float(ratios.max()))
-                ok &= bool(
-                    (gd[nz] >= 4 * t1_row[nz] * (1 - 1e-9)).all()
-                    and (gd[nz] <= 4 * math.pi * t1_row[nz] * (1 + 1e-9)).all()
-                )
-    rng = np.random.default_rng(31337)
-    for n in (6, 7):
-        m = 100_000
-        p_rows = np.array([rng.permutation(n) for _ in range(m)], dtype=np.int64)
-        q_rows = np.array([rng.permutation(n) for _ in range(m)], dtype=np.int64)
-        sigma = np.take_along_axis(q_rows, np.argsort(p_rows, axis=1), axis=1)
-        sums, _ = formula_terms_batch(sigma)
-        t1 = sums.min(axis=1).astype(np.float64)
-        for lo in range(0, m, 10_000):
-            hi = lo + 10_000
-            gp = np.exp(2j * np.pi * (p_rows[lo:hi, :, None] - p_rows[lo:hi, None, :]) / n)
-            gq = np.exp(2j * np.pi * (q_rows[lo:hi, :, None] - q_rows[lo:hi, None, :]) / n)
-            gd = np.abs(gp - gq).reshape(hi - lo, -1).sum(axis=1)
-            tt = t1[lo:hi]
-            nz = tt > 0
-            ok &= bool(
-                (gd[~nz] < 1e-9).all()
-                and (gd[nz] >= 4 * tt[nz] * (1 - 1e-9)).all()
-                and (gd[nz] <= 4 * math.pi * tt[nz] * (1 + 1e-9)).all()
-            )
-            if nz.any():
-                lo_ratio = min(lo_ratio, float((gd[nz] / tt[nz]).min()))
-                hi_ratio = max(hi_ratio, float((gd[nz] / tt[nz]).max()))
+    for n in range(2, 10):
+        grid, t1 = sweep[n].grid, sweep[n].t1.astype(np.float64)
+        nz = t1 > 0
+        ok &= bool(
+            (grid[~nz] < 1e-9).all()
+            and (grid[nz] >= 4 * t1[nz] * (1 - 1e-9)).all()
+            and (grid[nz] <= 4 * math.pi * t1[nz] * (1 + 1e-9)).all()
+        )
+        ratios = grid[nz] / t1[nz]
+        lo_ratio = min(lo_ratio, ratios.min(initial=math.inf))
+        hi_ratio = max(hi_ratio, ratios.max(initial=0.0))
     assert report(
-        3, "grid frame 4*Smin <= dist <= 4*pi*Smin (Smin = min displacement sum)", ok,
-        f"observed ratio range [{lo_ratio:.4f}, {hi_ratio:.4f}] vs [4, {4 * math.pi:.4f}]",
+        3, "grid frame 4*Smin <= dist <= 4*pi*Smin (Smin = min displacement sum), n=2..9", ok,
+        f"observed ratio range [{lo_ratio:.4f}, {hi_ratio:.4f}] vs [4, {4 * math.pi:.4f}]; "
+        + coverage({n: len(sweep[n].rows) for n in range(2, 10)}),
     )
 
 
 def test_criterion_4_profile_edge_lipschitz():
-    ok = True
-    flagged = False
-    t_worst = c_worst = 0.0
-    for n in range(2, 7):
-        t = Permutation.transposition(n)
-        c = Permutation.rotation(n)
-        profs = {p.images: interval_profile(p) for p in all_permutations(n)}
-        for p in all_permutations(n):
-            prof = profs[p.images]
-            td = profile_distance(prof, profs[compose(t, p).images])
-            cd = profile_distance(prof, profs[compose(c, p).images])
-            t_worst = max(t_worst, td)
-            c_worst = max(c_worst, cd)
-    ok &= c_worst <= 2 + 1e-9
-    if t_worst > 5 + 1e-9:
-        ok = False
-    elif t_worst > 4 + 1e-9:
-        flagged = True
+    # d(p, g p) = d(id, g) for every p: one value per generator and degree
+    profiles = np.array([generator_edges(n)[1] for n in range(2, 7)])  # columns t, c, c^-1
+    t_worst, c_worst = profiles[:, 0].max(), profiles[:, 1:].max()
+    ok = c_worst <= 2 + 1e-9 and t_worst <= 5 + 1e-9
     detail = f"t-edge max {t_worst:.4f}, c-edge max {c_worst:.4f}"
-    if flagged:
+    if t_worst > 4 + 1e-9:
         detail += " | FLAG: t-edge in (4, 5], interval-interior convention caveat"
     assert report(4, "profile edges <= 4 (t, flag to 5) and <= 2 (c), n<=6", ok, detail)
 
 
-def _near_rotation_pairs(n, count, rng):
-    """Sampled pairs whose displacement sum stays under n/3 (where the
-    conditional bound bites); uniform pairs almost never qualify."""
-    pairs = []
-    budget = max(0, (n // 3))
-    while len(pairs) < count:
-        shift = rng.randrange(n)
-        sigma = list(Permutation.rotation(n, -shift).images)
-        for _ in range(rng.randrange(0, budget + 1)):
+def _near_rotations(n, count, rng):
+    """Sampled elements whose displacement sum stays under n/3 (where the
+    conditional bound bites); uniform elements almost never qualify."""
+    rows = []
+    for _ in range(count):
+        sigma = list(Permutation.rotation(n, -rng.randrange(n)).images)
+        for _ in range(rng.randrange(0, n // 3 + 1)):
             a = rng.randrange(n)
             b = (a + 1) % n
             sigma[a], sigma[b] = sigma[b], sigma[a]
-        images = list(range(n))
-        rng.shuffle(images)
-        p = Permutation(n, tuple(images))
-        q = compose(Permutation(n, tuple(sigma)), p)
-        pairs.append((p, q))
-    return pairs
+        rows.append(sigma)
+    return np.array(rows)
 
 
-def test_criterion_5_profile_conditional_lower_bound():
+def _conditional_bound(n, t1, t2, profile):
+    """(qualifying elements, whether all hold, min dist/(Dmin/8)) of the
+    bound profile >= t2/8 over the elements with t1 < n/3."""
+    near = t1 < n / 3
+    d, lower = profile[near], t2[near] / 8
+    ratios = d[lower > 0] / lower[lower > 0]
+    return int(near.sum()), bool((d >= lower - 1e-9).all()), float(ratios.min(initial=math.inf))
+
+
+def test_criterion_5_profile_conditional_lower_bound(sweep):
     ok = True
-    checked = 0
-    worst = math.inf
-    for n in range(3, 7):
-        perms = list(all_permutations(n))
-        arr = np.array([p.images for p in perms], dtype=np.int64)
-        sums, diams = formula_terms_batch(arr)
-        t1 = sums.min(axis=1)
-        t2 = diams.min(axis=1)
-        profs = {p.images: interval_profile(p) for p in perms}
-        inv_rows = np.argsort(arr, axis=1)
-        for i, p in enumerate(perms):
-            ranks = rank_rows(arr[:, inv_rows[i]])
-            for j in (t1[ranks] < n / 3).nonzero()[0]:
-                d = profile_distance(profs[p.images], profs[perms[j].images])
-                lower = t2[ranks[j]] / 8
-                checked += 1
-                if lower > 0:
-                    worst = min(worst, d / lower)
-                if d < lower - 1e-9:
-                    ok = False
+    counts, worst = {}, {}
+    for n in range(3, 10):
+        s = sweep[n]
+        counts[n], holds, worst[n] = _conditional_bound(n, s.t1, s.t2, s.profile)
+        ok &= holds
     rng = random.Random(90210)
-    for n in (7, 8, 9):
-        for p, q in _near_rotation_pairs(n, 10_000, rng):
-            breakdown = formula_distance(p, q)
-            t1 = min(t.sum for t in breakdown.per_shift)
-            if t1 >= n / 3:
-                continue
-            t2 = min(t.diam for t in breakdown.per_shift)
-            d = profile_distance(interval_profile(p), interval_profile(q))
-            checked += 1
-            if t2 > 0:
-                worst = min(worst, d / (t2 / 8))
-            if d < t2 / 8 - 1e-9:
-                ok = False
+    sampled = 0
+    for n in (10, 12, 16):
+        sigma = _near_rotations(n, 10_000, rng)
+        sums, diams = formula_terms_batch(sigma)
+        qualifying, holds, worst[n] = _conditional_bound(
+            n, sums.min(axis=1), diams.min(axis=1), identity_distances(sigma)[1])
+        sampled += qualifying
+        ok &= holds
     assert report(
-        5, "profile distance >= Dmin/8 when Smin < n/3 (n=3..6 exhaustive, 7..9 sampled)", ok,
-        f"qualifying pairs {checked:,}, min dist/(Dmin/8) = {worst:.3f} "
-        "(degree 2 is degenerate: no interval interior exists, see ledger)",
+        5, "profile distance >= Dmin/8 when Smin < n/3 (n=3..9 exhaustive; 10, 12, 16 sampled)", ok,
+        f"qualifying {coverage(counts)}, sampled {sampled:,}; "
+        f"min dist/(Dmin/8) = {min(worst.values()):.3f}, sampled {worst[10]:.3f}, {worst[12]:.3f}, "
+        f"{worst[16]:.3f} (degree 2 is degenerate: no interval interior exists, see ledger)",
     )
 
 
@@ -313,14 +222,12 @@ def test_criterion_10_drift_diagnostic():
     )
 
 
-def test_criterion_11_oracle_self_consistency(tables, perm_arrays):
+def test_criterion_11_oracle_self_consistency(tables, sweep):
     ok = True
     for n in range(2, 7):
-        arr = perm_arrays[n]
         d = tables[n].dist.astype(np.int64)
-        sums, diams = formula_terms_batch(arr)
-        value = (sums + diams).min(axis=1)
-        for rows in generator_neighbors_rows(arr.astype(np.int8)):
+        value = sweep[n].value
+        for rows in generator_neighbors_rows(sweep[n].rows):
             ranks = rank_rows(rows.astype(np.int64))
             ok &= bool((np.abs(d[ranks] - d) <= 1).all())
             ok &= bool((np.abs(value[ranks] - value) <= 3).all())

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import generator_edges, seeded_elements
+
 from perml1.embed import (
     DEFAULT_GRID_SCALE,
     CircleGrid,
@@ -80,14 +82,10 @@ class TestCircleGrid:
             circle_grid_distance(circle_grid(Permutation.identity(3)),
                                  circle_grid(Permutation.identity(4)))
 
-    @pytest.mark.parametrize("n", range(2, 6))
-    def test_frame_against_sum_term(self, n, term_minima):
-        perms = list(all_permutations(n))
-        for p in perms:
-            for q in perms:
-                t1 = term_minima(p, q)[0]
-                d = circle_grid_distance(circle_grid(p), circle_grid(q))
-                assert 4 * t1 - 1e-9 <= d <= 4 * math.pi * t1 + 1e-9
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_frame_against_sum_term(self, n, sweep):
+        s = sweep[n]
+        assert (4 * s.t1 - 1e-9 <= s.grid).all() and (s.grid <= 4 * math.pi * s.t1 + 1e-9).all()
 
 
 class TestRealize:
@@ -160,13 +158,7 @@ class TestIntervalProfile:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_edge_bounds(self, n):
-        t = Permutation.transposition(n)
-        c = Permutation.rotation(n)
-        t_max = c_max = 0.0
-        for p in all_permutations(n):
-            prof = interval_profile(p)
-            t_max = max(t_max, profile_distance(prof, interval_profile(compose(t, p))))
-            c_max = max(c_max, profile_distance(prof, interval_profile(compose(c, p))))
+        t_max, c_max, _ = generator_edges(n)[1]
         assert c_max <= 2 + 1e-9
         assert t_max <= 5 + 1e-9
         if t_max > 4 + 1e-9:
@@ -175,17 +167,11 @@ class TestIntervalProfile:
                 "the interval-interior convention caveat applies"
             )
 
-    @pytest.mark.parametrize("n", range(3, 6))
-    def test_conditional_lower_bound(self, n, term_minima):
-        perms = list(all_permutations(n))
-        profs = {p.images: interval_profile(p) for p in perms}
-        for p in perms:
-            for q in perms:
-                sum_min, diam_min = term_minima(p, q)
-                if sum_min < n / 3:
-                    lower = diam_min / 8
-                    d = profile_distance(profs[p.images], profs[q.images])
-                    assert d >= lower - 1e-9
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_conditional_lower_bound(self, n, sweep):
+        s = sweep[n]
+        near = s.t1 < n / 3
+        assert (s.profile[near] >= s.t2[near] / 8 - 1e-9).all()
 
     def test_swap_pair_at_degree_ten(self, term_minima):
         # the swapped pair differs on a tight mismatch set, so the diameter
@@ -262,24 +248,8 @@ class TestCombined:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_seven_lipschitz_per_edge(self, n):
-        t = Permutation.transposition(n)
-        c = Permutation.rotation(n)
-        ci = inverse(c)
-        for p in all_permutations(n):
-            x = combined_embed(p)
-            for g in (t, c, ci):
-                y = combined_embed(compose(g, p))
-                assert combined_distance(x, y) <= 7 + 1e-9
-
-    @pytest.mark.parametrize("n", range(2, 6))
-    def test_scaled_grid_within_sum_term(self, n, term_minima):
-        perms = list(all_permutations(n))
-        for p in perms:
-            for q in perms:
-                t1 = term_minima(p, q)[0]
-                scaled = DEFAULT_GRID_SCALE * circle_grid_distance(circle_grid(p), circle_grid(q))
-                assert t1 / math.pi - 1e-9 <= scaled <= t1 + 1e-9
-
+        grid, profile = generator_edges(n)
+        assert (DEFAULT_GRID_SCALE * grid + profile <= 7 + 1e-9).all()
 
 
 class TestIdentityDistances:
@@ -300,15 +270,45 @@ class TestIdentityDistances:
         want = np.array([combined_distance(x, y) for x in points for y in points])
         assert np.allclose(self.closed_form(pairs), want, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @staticmethod
+    def coordinate_parts(x, y):
+        """Grid and profile distances of two points of the coordinate embedding."""
+        return circle_grid_distance(x.grid, y.grid), profile_distance(x.sparse, y.sparse)
+
+    @staticmethod
+    def generators(n):
+        return Permutation.transposition(n), Permutation.rotation(n), Permutation.rotation(n, -1)
+
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_parts_match_their_coordinates(self, n):
         perms = list(all_permutations(n))
         grid, profile = identity_distances(np.array([p.images for p in perms]))
-        ident = Permutation.identity(n)
-        want_grid = [circle_grid_distance(circle_grid(ident), circle_grid(p)) for p in perms]
-        want_profile = [profile_distance(interval_profile(ident), interval_profile(p)) for p in perms]
-        assert np.allclose(grid, want_grid, rtol=1e-12, atol=1e-12)
-        assert np.allclose(profile, want_profile, rtol=1e-12, atol=1e-12)
+        ident = combined_embed(Permutation.identity(n))
+        want = np.array([self.coordinate_parts(ident, combined_embed(p)) for p in perms])
+        assert np.allclose(grid, want[:, 0], rtol=1e-12, atol=1e-12)
+        assert np.allclose(profile, want[:, 1], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_edges_match_their_coordinates(self, n):
+        # right-invariance: d(p, g p) = d(id, g) for every p
+        want = np.transpose(generator_edges(n))
+        for p in seeded_elements(n, 200):
+            x = combined_embed(p)
+            got = [self.coordinate_parts(x, combined_embed(compose(g, p))) for g in self.generators(n)]
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_generator_edge_laws(self):
+        # every edge stays bounded (sups 8 pi for the t grid, 6 and 2 for the t and
+        # c profiles), but the t-edge's profile passes 5 at n = 9 and its combined
+        # distance passes 7 at n = 11
+        for n in range(3, 257):
+            t_grid = 8 * (n - 2) * math.sin(math.pi / n) + 4 * math.sin(2 * math.pi / n)
+            laws = [[t_grid, 0.0, 0.0], [6 - 8 / n, 2 - 4 / n, 2 - 4 / n]]
+            assert np.allclose(generator_edges(n), laws, rtol=1e-12, atol=1e-12)
+            if n <= 12:
+                ident = combined_embed(Permutation.identity(n))
+                got = [self.coordinate_parts(ident, combined_embed(g)) for g in self.generators(n)]
+                assert np.allclose(np.transpose(got), laws, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n", [13, 20, 40])
     def test_seeded_pairs(self, n):

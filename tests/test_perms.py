@@ -118,6 +118,16 @@ class TestEvalWord:
         w = GeneratorWord.parse(5, "tccCtc")
         assert compose(eval_word(w), eval_word(w.inverse())).is_identity()
 
+    def test_unknown_letters_are_named(self):
+        with pytest.raises(ValueError) as err:
+            GeneratorWord.parse(4, "tcxCTt")
+        assert str(err.value) == "unknown letters ['x', 'T']; alphabet is ('t', 'c', 'C')"
+
+    @pytest.mark.parametrize("item", ["", "tc", "T", 0, None, b"t", ("t",), ["t"], {"t"}])
+    def test_any_non_letter_is_a_value_error(self, item):
+        with pytest.raises(ValueError, match="unknown letters"):
+            GeneratorWord(3, (T, item, C))
+
 
 class TestCycleMetric:
     def test_dist_examples(self):
