@@ -251,6 +251,12 @@ class TestCombined:
         grid, profile = generator_edges(n)
         assert (DEFAULT_GRID_SCALE * grid + profile <= 7 + 1e-9).all()
 
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_scaled_grid_within_sum_term(self, n, sweep):
+        s = sweep[n]
+        scaled = DEFAULT_GRID_SCALE * s.grid
+        assert (s.t1 / math.pi - 1e-9 <= scaled).all() and (scaled <= s.t1 + 1e-9).all()
+
 
 class TestIdentityDistances:
     """The closed form against the coordinate embeddings, by right-invariance:
