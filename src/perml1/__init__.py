@@ -46,9 +46,7 @@ from .embed import (  # noqa: F401
     combined_embed,
     count_separating_intervals,
     interval_profile,
-    profile_distance,
     realize_grid,
-    realized_distance,
 )
 from .audits import (  # noqa: F401
     CubeAuditReport,

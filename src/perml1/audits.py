@@ -9,12 +9,12 @@ pair is (identity, sigma).  Exact mode sweeps each sigma != id against the
 BFS oracle; the sweep stands for all n!(n!-1) ordered pairs.  Envelope
 mode, for degrees with infeasible BFS, brackets the true distance by
 [F/3, min(6*sum+2*diam)] and reports a certificate that overestimates the
-distortion by at most the width (factor 18) of that bracket.
+distortion by at most the width (factor 18) of that bracket.  hamming_embed
+is the scalar reference for the rows the cube audit builds in one array step.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import asdict, dataclass
 from math import factorial, isclose, sqrt
@@ -41,7 +41,7 @@ from .metric import (
     formula_terms_batch,
     rank_rows,
 )
-from .perms import Permutation, _block_degree, _blocks_bytes, perm_blocks
+from .perms import Permutation, _block_degree, _blocks_bytes, perm_blocks, unrank_rows
 from .perms import all_permutations  # noqa: F401  the benchmark's tracer (perfbench/spans.py) wraps this binding
 
 __all__ = [
@@ -179,16 +179,15 @@ def distortion_audit(
     rng = np.random.default_rng(seed)
     if mode == "exact":
         size = factorial(n)
-        # The int8 table and the blocks, and per scored row at the peak: the
-        # distinct mask and four float64 arrays (grid, profile, combined and a
-        # temporary, or combined, expansion ratios and two temporaries).  A
-        # sampled row also holds its two draws, both rows, quotient and argsort,
-        # next to all n! elements.
+        # The int8 table, and per scored row at the peak: the distinct mask and four
+        # float64 arrays (grid, profile, combined and a temporary, or combined,
+        # expansion ratios and two temporaries).  The sweep also holds the blocks,
+        # and a sampled row its two draws, both rows, quotient and argsort.
         if sample_size is None:
-            rows, per_row, held = factorial(_block_degree(n)), 33, 0
+            rows, per_row, held = factorial(_block_degree(n)), 33, _blocks_bytes(n)
         else:
-            rows, per_row, held = sample_size, 33 + 12 * n + 24, size * n
-        check_memory(size + _blocks_bytes(n) + held + rows * per_row + _identity_temp_bytes(rows, n),
+            rows, per_row, held = sample_size, 33 + 12 * n + 24, 0
+        check_memory(size + held + rows * per_row + _identity_temp_bytes(rows, n),
                      f"the exact audit of Sym_{n}")
         table = bfs_distances(n)
         if sample_size is None:
@@ -204,16 +203,18 @@ def distortion_audit(
                     contraction = con if con[0] > contraction[0] else contraction
             checked *= size
         else:
-            elements = np.empty((size, n), dtype=np.int8)
-            for lo, block in perm_blocks(n):
-                elements[lo:lo + len(block)] = block
             ii = rng.integers(0, size, sample_size)
             jj = rng.integers(0, size - 1, sample_size)
             jj = np.where(jj >= ii, jj + 1, jj)
-            sigma = _quotients(elements[ii], elements[jj])
+            sigma = _quotients(unrank_rows(n, ii), unrank_rows(n, jj))
             d = table.dist[rank_rows(sigma)]
             checked, expansion, contraction = _score(sigma, d, d, scale1)
     else:
+        # per pair: both rows, their quotient, the bracket and the scores; and the largest stage: the
+        # drawn list (about 120 B per row array beyond its data) or argsort, the kernel, identity_distances
+        m = sample_size
+        largest = max(m * (8 * n + 120), _formula_batch_bytes(m, n), _identity_temp_bytes(m, n))
+        check_memory(m * (24 * n + 49) + largest, f"the envelope audit of {m:,} pairs in Sym_{n}")
         p_rows = np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64)
         q_rows = np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64)
         sigma = _quotients(p_rows, q_rows)
@@ -284,26 +285,26 @@ def cube_audit(
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     degree = 4 * n * n
     rows = 2 ** n - 1 if sample_size is None else sample_size
-    # sigma lives through the kernel, and the bracket reuses the kernel's freed arrays
-    check_memory(8 * rows * degree + _formula_batch_bytes(rows, degree),
+    # the bits and sigma live through the kernel, and the bracket reuses the kernel's freed arrays
+    check_memory(8 * rows * (n + degree) + _formula_batch_bytes(rows, degree),
                  f"the cube audit of {rows:,} vectors at degree {degree}")
-    if sample_size is None:
-        diffs = [v for v in itertools.product((0, 1), repeat=n) if any(v)]
+    if sample_size is None:  # the nonzero vectors in itertools.product order, first bit highest
+        bits = np.arange(1, 2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1
         pairs = 2 ** n * rows
     else:
         rng = np.random.default_rng(seed)
         diffs = []
         while len(diffs) < sample_size:
-            e = rng.integers(0, 2, n)
-            dl = rng.integers(0, 2, n)
-            if (e != dl).any():
-                diffs.append(tuple((e ^ dl).tolist()))
-        pairs = sample_size
+            x = rng.integers(0, 2, n) ^ rng.integers(0, 2, n)  # e xor d of a drawn pair (e, d)
+            if x.any():
+                diffs.append(x)
+        bits, pairs = np.array(diffs), sample_size
 
-    sigma = np.fromiter(itertools.chain.from_iterable(hamming_embed(n, x).images for x in diffs),
-                        dtype=np.int64, count=rows * degree).reshape(rows, degree)
+    sigma = np.tile(np.arange(degree), (rows, 1))  # hamming_embed: swap columns i and n + i where bit i is set
+    sigma[:, :n] += n * bits
+    sigma[:, n:2 * n] -= n * bits
     sums, diams = formula_terms_batch(sigma)
-    h = np.array([sum(x) for x in diffs], dtype=np.int64)
+    h = bits.sum(axis=1)
     d_lo, d_hi = _bracket(sums, diams)
     scaled = n * h
     ratio_lo = float((d_lo / scaled).min())
@@ -379,6 +380,9 @@ def drift_walk(
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if proxy == "formula":  # per walker: its row and the next, its draws and proxy values; and the kernel
+        check_memory(trials * (16 * n + 64) + _formula_batch_bytes(trials, n),
+                     f"the formula drift walk of {trials:,} walkers on Sym_{n}")
     table = bfs_distances(n) if proxy == "bfs" else None
     rng = np.random.default_rng(seed)
     states = np.tile(np.arange(n, dtype=np.int64), (trials, 1))  # one-line rows, or inverse rows for "bfs"

@@ -7,6 +7,8 @@ the inverse permutation on every circular interval keyed only by (length,
 value list) -- the interval's position is forgotten -- skipping intervals whose
 interior contains 0; its distance tracks the diameter term.  Their weighted
 direct sum is the combined embedding that the distortion audits certify.
+CombinedPoint, combined_embed, combined_distance and SparseVector.l1_norm are
+kept as the scalar references that the tests compare the fast paths with.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .perms import Permutation, cycle_dist, inverse
 __all__ = [
     "INTERIOR_MARGIN", "DEFAULT_GRID_SCALE",
     "CircleGrid", "IntervalKey", "SparseVector", "CombinedPoint", "check_scale1",
-    "circle_grid", "circle_grid_distance", "realize_grid", "realized_distance",
-    "intervals", "interior_contains_zero", "interval_profile", "profile_distance",
+    "circle_grid", "circle_grid_distance", "realize_grid",
+    "intervals", "interior_contains_zero", "interval_profile",
     "combined_embed", "combined_distance", "identity_distances",
     "circle_median", "avg_vs_min_check", "count_separating_intervals",
 ]
@@ -125,10 +127,6 @@ def realize_grid(a: CircleGrid, directions: int) -> np.ndarray:
     return (np.pi / (2 * directions)) * proj.reshape(-1)
 
 
-def realized_distance(va: np.ndarray, vb: np.ndarray) -> float:
-    return float(np.abs(va - vb).sum())
-
-
 def intervals(n: int) -> Iterator[tuple[int, int]]:
     """All n^2 circular intervals as (start, length), length in [1, n].
 
@@ -160,10 +158,6 @@ def interval_profile(p: Permutation) -> SparseVector:
     return SparseVector(coords)
 
 
-def profile_distance(x: SparseVector, y: SparseVector) -> float:
-    return x.distance(y)
-
-
 def combined_embed(p: Permutation, scale1: float = DEFAULT_GRID_SCALE) -> CombinedPoint:
     return CombinedPoint(circle_grid(p), interval_profile(p), scale1)
 
@@ -173,7 +167,7 @@ def combined_distance(a: CombinedPoint, b: CombinedPoint) -> float:
         raise ValueError(f"degree mismatch: {a.grid.n} vs {b.grid.n}")
     if a.scale1 != b.scale1:
         raise ValueError(f"scale mismatch: {a.scale1} vs {b.scale1}")
-    return a.scale1 * circle_grid_distance(a.grid, b.grid) + profile_distance(a.sparse, b.sparse)
+    return a.scale1 * circle_grid_distance(a.grid, b.grid) + a.sparse.distance(b.sparse)
 
 
 def _identity_temp_bytes(m: int, n: int) -> int:

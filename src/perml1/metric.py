@@ -17,14 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .perms import (
-    Permutation,
-    _block_degree,
-    _block_rows,
-    compose,
-    inverse,
-    perm_rank,
-)
+from .perms import Permutation, _block_degree, compose, inverse, perm_rank, unrank_rows
 
 __all__ = [
     "MEMORY_BUDGET", "ResourceLimitError", "check_memory",
@@ -160,8 +153,8 @@ def bfs_distances(n: int) -> DistanceTable:
     # (j-h)-th smallest value off the head, which the block's first row (its tail ascends)
     # has at j.  So heads, the positions of 0, 1 and n-1 in the first rows, index cols.
     cols = np.concatenate([np.repeat(np.arange(h, dtype=np.int8), block).reshape(h, block),
-                           h + np.argsort(_block_rows(k, 1), axis=1).T.astype(np.int8)])
-    first = _block_rows(n, k)
+                           h + np.argsort(unrank_rows(k, np.arange(block)), axis=1).T.astype(np.int8)])
+    first = unrank_rows(n, np.arange(0, size, block))
     heads = np.array([(first == v).argmax(axis=1).astype(np.int8) for v in (0, 1, n - 1)])
     reached = 0
     for level in range(_MAX_LEVEL):

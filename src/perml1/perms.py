@@ -5,7 +5,8 @@ Products are read right to left, as in function composition, so
 ``compose(p, q)`` applies ``q`` first.  Generator words are sequences over
 the alphabet {t, c, c^-1} written left to right; the rightmost letter acts
 first, matching the way words like "tctCt" are read.  Array code walks all
-of Sym_n as int8 rows, in blocks of consecutive Lehmer ranks (perm_blocks).
+of Sym_n as int8 rows, in blocks of consecutive Lehmer ranks (perm_blocks)
+decoded by unrank_rows; perm_unrank is its scalar reference in the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ __all__ = [
     "Permutation", "GeneratorWord", "CycleDecomposition",
     "compose", "inverse", "eval_word",
     "cycle_dist", "cycle_diam", "cycle_decompose",
-    "perm_rank", "perm_unrank", "all_permutations", "perm_blocks",
+    "perm_rank", "perm_unrank", "unrank_rows", "all_permutations", "perm_blocks",
 ]
 
 # Word alphabet.  These double as the one-character text encoding: a word is
@@ -265,14 +266,21 @@ def _block_degree(n: int) -> int:
     return min(n, _BLOCK_DEGREE)
 
 
-def _block_rows(n: int, k: int) -> np.ndarray:
-    """The first rows of the blocks of k! consecutive Lehmer ranks of Sym_n in
-    rank order, (n!/k!, n) int8: a row over m values is [v, rest + (rest >= v)]
-    for v < m and rest over m-1 values, and the last k values ascend."""
-    rows = np.arange(k, dtype=np.int8)[None, :]
-    for m in range(k + 1, n + 1):
-        rows = np.concatenate([np.insert(rows + (rows >= v), 0, v, axis=1) for v in range(m)])
-    return rows
+def unrank_rows(n: int, ranks) -> np.ndarray:
+    """Batch form of perm_unrank, (m,) ranks -> (m, n) int8 rows.  The digits
+    come off last to first by divmod with radix 2, 3, ..., n; digit i is the
+    value at position i, and the values right of it at or above it move up."""
+    if not 1 <= n <= 20:
+        raise ValueError(f"degree must be >= 1 and <= 20, where ranks still fit int64, got {n}")
+    rest = np.asarray(ranks, dtype=np.int64)
+    if ((rest < 0) | (rest >= factorial(n))).any():
+        raise ValueError(f"ranks out of range for degree {n}")
+    rest = rest.astype(np.int32 if n <= 12 else np.int64)  # 12! < 2**31, and int32 divides faster
+    rows = np.zeros((n, len(rest)), dtype=np.int8)
+    for i in range(n - 2, -1, -1):
+        rest, rows[i] = np.divmod(rest, n - i)
+        rows[i + 1:] += rows[i + 1:] >= rows[i]
+    return rows.T
 
 
 def _blocks_bytes(n: int) -> int:
@@ -292,8 +300,8 @@ def perm_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
     k = _block_degree(n)
-    sym_k = _block_rows(k, 1)
-    for i, first in enumerate(_block_rows(n, k)):
+    sym_k = unrank_rows(k, np.arange(factorial(k)))
+    for i, first in enumerate(unrank_rows(n, np.arange(0, factorial(n), factorial(k)))):
         rows = np.empty((len(sym_k), n), dtype=np.int8)
         rows[:, :n - k] = first[:n - k]
         rows[:, n - k:] = first[n - k:][sym_k]

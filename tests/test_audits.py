@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from perml1 import audits
 from perml1.audits import (
     CubeAuditReport,
+    DistortionReport,
     PropertyViolation,
     cube_audit,
     distortion_audit,
@@ -15,9 +17,63 @@ from perml1.audits import (
     drift_walk,
     hamming_embed,
 )
-from perml1.embed import combined_distance, combined_embed
-from perml1.metric import ResourceLimitError, formula_terms_batch, generator_neighbors_rows, rank_rows
-from perml1.perms import Permutation, all_permutations, compose, inverse
+from perml1.embed import DEFAULT_GRID_SCALE, combined_distance, combined_embed
+from perml1.metric import ResourceLimitError, bfs_distances, formula_terms_batch, generator_neighbors_rows, rank_rows
+from perml1.perms import Permutation, all_permutations, compose, inverse, perm_blocks
+
+
+def masked(report):
+    """A report's JSON fields without the wall time."""
+    out = report.to_json_dict()
+    del out["wall_time_ms"]
+    return out
+
+
+def reference_sampled_exact(n, sample_size, seed):
+    """The sampled exact audit built on all n! rows: elements concatenated
+    from perm_blocks and indexed by the drawn ranks."""
+    rng = np.random.default_rng(seed)
+    size = math.factorial(n)
+    elements = np.concatenate([rows for _, rows in perm_blocks(n)])
+    ii = rng.integers(0, size, sample_size)
+    jj = rng.integers(0, size - 1, sample_size)
+    jj = np.where(jj >= ii, jj + 1, jj)
+    sigma = audits._quotients(elements[ii], elements[jj])
+    d = bfs_distances(n).dist[rank_rows(sigma)]
+    checked, (exp, exp_row), (con, con_row) = audits._score(sigma, d, d, DEFAULT_GRID_SCALE)
+    return masked(DistortionReport(n, "exact", checked, exp, audits._check_witness(exp_row), con,
+                                   audits._check_witness(con_row), exp * con, DEFAULT_GRID_SCALE,
+                                   sample_size, seed, 0.0))
+
+
+def reference_cube(n, sample_size=None, seed=None):
+    """The cube audit with one hamming_embed permutation per vector, the
+    vectors from itertools.product or from the same rejection draws."""
+    if sample_size is None:
+        diffs = [v for v in itertools.product((0, 1), repeat=n) if any(v)]
+        pairs = 2 ** n * len(diffs)
+    else:
+        rng = np.random.default_rng(seed)
+        diffs = []
+        while len(diffs) < sample_size:
+            e, d = rng.integers(0, 2, n), rng.integers(0, 2, n)
+            if (e != d).any():
+                diffs.append(tuple((e ^ d).tolist()))
+        pairs = sample_size
+    degree = 4 * n * n
+    sigma = np.array([hamming_embed(n, x).images for x in diffs], dtype=np.int64)
+    sums, diams = formula_terms_batch(sigma)
+    h = np.array([sum(x) for x in diffs], dtype=np.int64)
+    d_lo, d_hi = audits._bracket(sums, diams)
+    ratio_lo, ratio_hi = float((d_lo / (n * h)).min()), float((d_hi / (n * h)).max())
+    sandwich = None
+    if degree <= 7:
+        d = bfs_distances(degree).dist[rank_rows(sigma)]
+        sandwich = bool(((d_lo <= d + 1e-12) & (d <= d_hi + 1e-12)).all()
+                        and ((h / 3.0 <= d + 1e-12) & (d <= 11 * h + 1e-12)).all())
+    minimizer = bool((sums[:, 0] < sums[:, 1:].min(axis=1)).all())
+    return masked(CubeAuditReport(n, degree, pairs, ratio_lo, ratio_hi, ratio_hi / ratio_lo, minimizer,
+                                  degree <= 7, sandwich, seed, 0.0))
 
 
 class TestDistortionExact:
@@ -56,6 +112,12 @@ class TestDistortionExact:
         assert a.max_expansion == b.max_expansion
         assert a.expansion_witness == b.expansion_witness
         assert a.pairs_checked == 500
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_sampled_matches_all_rows_reference(self, n, seed):
+        # the drawn rows alone give the report that indexing all n! rows gave
+        assert masked(distortion_audit(n, sample_size=2000, seed=seed)) == reference_sampled_exact(n, 2000, seed)
 
     def test_element_sweep_matches_pair_sweep(self, tables):
         # the (id, sigma) sweep against every ordered pair scored on its own
@@ -104,6 +166,22 @@ class TestDistortionExact:
         # refused before the BFS runs: the sweep holds the n! table, 6.2 GB at n = 13
         with pytest.raises(ResourceLimitError, match="exact audit of Sym_13 needs .* over the memory budget"):
             distortion_audit(13)
+
+    def test_sampled_sym12_fits_the_budget(self, monkeypatch):
+        # the table and the sample, with no n! x n array of elements
+        class Reached(Exception):
+            pass
+
+        def bfs_reached(n):
+            raise Reached
+
+        monkeypatch.setattr(audits, "bfs_distances", bfs_reached)
+        with pytest.raises(Reached):
+            distortion_audit(12, sample_size=100_000, seed=1)
+
+    def test_sampled_sym13_is_refused(self):
+        with pytest.raises(ResourceLimitError, match="exact audit of Sym_13 needs .* over the memory budget"):
+            distortion_audit(13, sample_size=100, seed=1)
 
     def test_single_element_group_is_isometric(self):
         report = distortion_audit(1)
@@ -174,10 +252,38 @@ class TestMemoryBudget:
         peak, largest = traced_peak_and_largest_check(lambda: distortion_audit(n))
         assert peak <= largest
 
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_sampled_exact_audit(self, n, traced_peak_and_largest_check):
+        peak, largest = traced_peak_and_largest_check(lambda: distortion_audit(n, sample_size=20000, seed=1))
+        assert peak <= largest
+
+    def test_envelope_audit(self, traced_peak_and_largest_check):
+        call = lambda: distortion_audit(20, mode="envelope", sample_size=5000, seed=1)  # noqa: E731
+        peak, largest = traced_peak_and_largest_check(call)
+        assert peak <= largest
+
+    def test_formula_drift_walk(self, traced_peak_and_largest_check):
+        peak, largest = traced_peak_and_largest_check(lambda: drift_walk(40, 5, 2000, seed=1))
+        assert peak <= largest
+
     @pytest.mark.parametrize("n", [7, 8])
     def test_cube_audit(self, n, traced_peak_and_largest_check):
         peak, largest = traced_peak_and_largest_check(lambda: cube_audit(n))
         assert peak <= largest
+
+    @pytest.mark.parametrize("call, what", [
+        (lambda: distortion_audit(1000, mode="envelope"), "envelope audit of 20,000 pairs in Sym_1000 needs"),
+        (lambda: drift_walk(100, 1, 10 ** 6), "formula drift walk of 1,000,000 walkers on Sym_100 needs"),
+    ], ids=["envelope", "drift"])
+    def test_refused_before_allocating(self, call, what):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=what):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestHammingEmbed:
@@ -249,6 +355,11 @@ class TestCubeAudit:
             cube_audit(0)
         with pytest.raises(ValueError, match="sample_size"):
             cube_audit(2, sample_size=0)
+
+    @pytest.mark.parametrize("n, sample_size, seed", [(n, None, None) for n in range(1, 9)]
+                             + [(4, 60, 2), (6, 500, 3), (12, 300, 4)])
+    def test_matches_hamming_embed_reference(self, n, sample_size, seed):
+        assert masked(cube_audit(n, sample_size, seed)) == reference_cube(n, sample_size, seed)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_xor_collapse_matches_pair_enumeration(self, n):

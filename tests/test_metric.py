@@ -24,13 +24,13 @@ from perml1.metric import (
 )
 from perml1.perms import (
     Permutation,
-    _block_rows,
     all_permutations,
     compose,
     cycle_diam,
     cycle_dist,
     inverse,
     perm_rank,
+    unrank_rows,
 )
 
 
@@ -153,11 +153,13 @@ class TestBfs:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_block_rows_are_sym_k_in_rank_order(self, k):
+        # the rows the BFS decodes: all of Sym_k, and the first row of each block of j! ranks
         rows = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
-        assert np.array_equal(_block_rows(k, 1), rows)
+        decoded = unrank_rows(k, np.arange(math.factorial(k)))
+        assert decoded.dtype == np.int8 and np.array_equal(decoded, rows)
         for j in range(1, k + 1):
-            # the first row of each block of j! ranks
-            assert np.array_equal(_block_rows(k, j), rows[::math.factorial(j)])
+            firsts = unrank_rows(k, np.arange(0, math.factorial(k), math.factorial(j)))
+            assert np.array_equal(firsts, rows[::math.factorial(j)])
 
     def test_table_at_degree_ten_is_pinned(self):
         # golden values, recorded with a frontier BFS

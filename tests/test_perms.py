@@ -23,6 +23,7 @@ from perml1.perms import (
     perm_blocks,
     perm_rank,
     perm_unrank,
+    unrank_rows,
 )
 
 
@@ -183,6 +184,32 @@ class TestRanking:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             perm_unrank(3, 6)
+
+
+class TestUnrankRows:
+    # itertools order at n = 1..8: test_metric.py::TestBfs::test_block_rows_are_sym_k_in_rank_order
+
+    @pytest.mark.parametrize("n", range(9, 21))
+    def test_matches_perm_unrank(self, n):
+        rng = random.Random(n)
+        ranks = [0, math.factorial(n) - 1] + [rng.randrange(math.factorial(n)) for _ in range(198)]
+        rows = unrank_rows(n, np.array(ranks))
+        assert rows.shape == (200, n) and rows.dtype == np.int8
+        assert [tuple(row.tolist()) for row in rows] == [perm_unrank(n, r).images for r in ranks]
+
+    def test_empty_batch(self):
+        assert unrank_rows(5, np.array([], dtype=np.int64)).shape == (0, 5)
+
+    @pytest.mark.parametrize("n, ranks", [(3, [6]), (3, [0, -1]), (12, [math.factorial(12)]),
+                                          (20, [math.factorial(20)])])
+    def test_rank_out_of_range(self, n, ranks):
+        with pytest.raises(ValueError, match=f"ranks out of range for degree {n}"):
+            unrank_rows(n, np.array(ranks))
+
+    @pytest.mark.parametrize("n", [0, 21])
+    def test_degree_out_of_range(self, n):
+        with pytest.raises(ValueError, match="degree must be >= 1 and <= 20"):
+            unrank_rows(n, np.array([0]))
 
 
 class TestBlocks:
