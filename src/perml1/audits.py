@@ -6,7 +6,8 @@ d(p s, q s) = d(p, q) for every s.  So every audited pair (p, q) is scored
 as the single element sigma = q p^-1 against the identity, with the
 closed-form distances of `identity_distances`, and every reported witness
 pair is (identity, sigma).  Exact mode sweeps each sigma != id against the
-BFS oracle; the sweep stands for all n!(n!-1) ordered pairs.  Envelope
+BFS oracle, decoding ranges of consecutive Lehmer ranks with unrank_rows;
+the sweep stands for all n!(n!-1) ordered pairs.  Envelope
 mode, for degrees with infeasible BFS, brackets the true distance by
 [F/3, min(6*sum+2*diam)] and reports a certificate that overestimates the
 distortion by at most the width (factor 18) of that bracket.  hamming_embed
@@ -26,6 +27,7 @@ from . import __version__
 from .embed import (
     DEFAULT_GRID_SCALE,
     _identity_temp_bytes,
+    _profile_bytes,
     check_scale1,
     circle_grid,
     circle_grid_distance,
@@ -41,7 +43,7 @@ from .metric import (
     formula_terms_batch,
     rank_rows,
 )
-from .perms import Permutation, _block_degree, _blocks_bytes, perm_blocks, unrank_rows
+from .perms import Permutation, _block_degree, unrank_rows
 from .perms import all_permutations  # noqa: F401  the benchmark's tracer (perfbench/spans.py) wraps this binding
 
 __all__ = [
@@ -155,10 +157,10 @@ def distortion_audit(
 
     Each pair (p, q) is scored as sigma = q p^-1 against the identity.  Exact
     mode sweeps every sigma != id, which stands for all n!(n!-1) ordered
-    pairs, one block of Lehmer ranks (perm_blocks) at a time, or scores a
-    seeded sample of pairs, against the BFS oracle; its arrays are checked
-    against MEMORY_BUDGET before the BFS runs (the sweep holds the n! table
-    and one block: Sym_12 fits).  Envelope mode samples pairs and certifies
+    pairs, decoding one range of k! Lehmer ranks (unrank_rows) at a time, or
+    scores a seeded sample of pairs, against the BFS oracle; its arrays are
+    checked against MEMORY_BUDGET before the BFS runs (the sweep holds the n!
+    table and one range: Sym_12 fits).  Envelope mode samples pairs and certifies
     against the two-sided formula bracket instead.
     """
     start = time.perf_counter()
@@ -178,29 +180,25 @@ def distortion_audit(
         )
     rng = np.random.default_rng(seed)
     if mode == "exact":
-        size = factorial(n)
-        # The int8 table, and per scored row at the peak: the distinct mask and four
-        # float64 arrays (grid, profile, combined and a temporary, or combined,
-        # expansion ratios and two temporaries).  The sweep also holds the blocks,
-        # and a sampled row its two draws, both rows, quotient and argsort.
-        if sample_size is None:
-            rows, per_row, held = factorial(_block_degree(n)), 33, _blocks_bytes(n)
-        else:
-            rows, per_row, held = sample_size, 33 + 12 * n + 24, 0
-        check_memory(size + held + rows * per_row + _identity_temp_bytes(rows, n),
+        size, block = factorial(n), factorial(_block_degree(n))
+        # The int8 table, the witness re-check's two profiles, and per scored row at the
+        # peak: the distinct mask and four float64 arrays (grid, profile, combined and a
+        # temporary, or combined, expansion ratios and two temporaries).  A swept row
+        # adds its int8 row, int64 rank, three int32 decoder digits and up to n bool
+        # carries; a sampled row its two draws, both rows, quotient and argsort.
+        rows, per_row = (block, 33 + 2 * n + 20) if sample_size is None else (sample_size, 33 + 12 * n + 24)
+        check_memory(size + 2 * _profile_bytes(n) + rows * per_row + _identity_temp_bytes(rows, n),
                      f"the exact audit of Sym_{n}")
         table = bfs_distances(n)
         if sample_size is None:
             checked, expansion, contraction = 0, (-1.0, None), (-1.0, None)
-            for lo, block in perm_blocks(n):
-                first = 1 if lo == 0 else 0  # rank 0 is the identity
-                if first < len(block):
-                    d = table.dist[lo + first:lo + len(block)]
-                    scored, exp, con = _score(block[first:], d, d, scale1)
-                    checked += scored
-                    # strict: the first rank wins ties, as an argmax over all of Sym_n would
-                    expansion = exp if exp[0] > expansion[0] else expansion
-                    contraction = con if con[0] > contraction[0] else contraction
+            for lo in range(1, size, block):  # rank 0 is the identity
+                d = table.dist[lo:lo + block]
+                scored, exp, con = _score(unrank_rows(n, np.arange(lo, lo + len(d))), d, d, scale1)
+                checked += scored
+                # strict: the first rank wins ties, as an argmax over all of Sym_n would
+                expansion = exp if exp[0] > expansion[0] else expansion
+                contraction = con if con[0] > contraction[0] else contraction
             checked *= size
         else:
             ii = rng.integers(0, size, sample_size)
@@ -210,14 +208,16 @@ def distortion_audit(
             d = table.dist[rank_rows(sigma)]
             checked, expansion, contraction = _score(sigma, d, d, scale1)
     else:
-        # per pair: both rows, their quotient, the bracket and the scores; and the largest stage: the
-        # drawn list (about 120 B per row array beyond its data) or argsort, the kernel, identity_distances
+        # per pair: the quotient, the bracket and the scores; and the largest stage: the two
+        # drawn rows with the second's list (about 120 B per row array beyond its data) or
+        # with the argsort, the kernel, identity_distances, or the witness re-check's profiles
         m = sample_size
-        largest = max(m * (8 * n + 120), _formula_batch_bytes(m, n), _identity_temp_bytes(m, n))
-        check_memory(m * (24 * n + 49) + largest, f"the envelope audit of {m:,} pairs in Sym_{n}")
-        p_rows = np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64)
-        q_rows = np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64)
-        sigma = _quotients(p_rows, q_rows)
+        largest = max(m * (16 * n + 120), _formula_batch_bytes(m, n), _identity_temp_bytes(m, n),
+                      2 * _profile_bytes(n))
+        check_memory(m * (8 * n + 49) + largest, f"the envelope audit of {m:,} pairs in Sym_{n}")
+        # the drawn rows die with the call: only their quotient is read
+        sigma = _quotients(np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64),
+                           np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64))
         checked, expansion, contraction = _score(sigma, *_bracket(*formula_terms_batch(sigma)), scale1)
 
     return DistortionReport(

@@ -137,9 +137,18 @@ def intervals(n: int) -> Iterator[tuple[int, int]]:
             yield start, length
 
 
-def interior_contains_zero(n: int, start: int, length: int, margin: int = INTERIOR_MARGIN) -> bool:
+def interior_contains_zero(n: int, start: int, length: int) -> bool:
     offset = (-start) % n
-    return margin <= offset <= length - 1 - margin
+    return INTERIOR_MARGIN <= offset <= length - 1 - INTERIOR_MARGIN
+
+
+def _profile_bytes(n: int) -> int:
+    """Bytes interval_profile holds at degree n: 8 per value of each kept
+    interval's tuple, and per key at most 300 for the tuple's header, the
+    IntervalKey, the weight and a dict slot with the dict's resize copy."""
+    keys = n * (n + 1) // 2 + n - 1  # cap(0) = n, and cap(u) = n - u + 1 for u >= 1
+    values = n * (n + 1) // 2 + n * (n + 1) * (n + 2) // 6 - 1
+    return 8 * values + 300 * keys
 
 
 def interval_profile(p: Permutation) -> SparseVector:

@@ -5,8 +5,8 @@ Products are read right to left, as in function composition, so
 ``compose(p, q)`` applies ``q`` first.  Generator words are sequences over
 the alphabet {t, c, c^-1} written left to right; the rightmost letter acts
 first, matching the way words like "tctCt" are read.  Array code walks all
-of Sym_n as int8 rows, in blocks of consecutive Lehmer ranks (perm_blocks)
-decoded by unrank_rows; perm_unrank is its scalar reference in the tests.
+of Sym_n as int8 rows, decoding ranges of k! consecutive Lehmer ranks with
+unrank_rows; perm_unrank is its scalar reference in the tests.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ __all__ = [
     "Permutation", "GeneratorWord", "CycleDecomposition",
     "compose", "inverse", "eval_word",
     "cycle_dist", "cycle_diam", "cycle_decompose",
-    "perm_rank", "perm_unrank", "unrank_rows", "all_permutations", "perm_blocks",
+    "perm_rank", "perm_unrank", "unrank_rows", "all_permutations",
 ]
 
 # Word alphabet.  These double as the one-character text encoding: a word is
@@ -36,8 +36,8 @@ _LETTER_SET = frozenset(LETTERS)
 
 _INVERSE_LETTER = {T: T, C: CINV, CINV: C}
 
-# Array code walks Sym_n in blocks of k! consecutive Lehmer ranks,
-# k = min(n, _BLOCK_DEGREE): a block of Sym_8 rows is 40,320 x n int8.
+# Array code walks Sym_n in ranges of k! consecutive Lehmer ranks,
+# k = min(n, _BLOCK_DEGREE): a range of Sym_8 rows is 40,320 x n int8.
 _BLOCK_DEGREE = 8
 
 
@@ -281,28 +281,3 @@ def unrank_rows(n: int, ranks) -> np.ndarray:
         rest, rows[i] = np.divmod(rest, n - i)
         rows[i + 1:] += rows[i + 1:] >= rows[i]
     return rows.T
-
-
-def _blocks_bytes(n: int) -> int:
-    """Bytes perm_blocks(n) holds at once: the first rows, Sym_k's rows, and
-    one block with its tail."""
-    k = _block_degree(n)
-    block = factorial(k)
-    return n * (factorial(n) // block) + (2 * k + n) * block
-
-
-def perm_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Sym_n in Lehmer-rank order as arrays: (lo, rows) per block, where rows
-    is the (k!, n) int8 array of ranks lo .. lo + k! - 1, k = _block_degree(n).
-    A block's rows share the first n-k values of its first row; the rest are
-    that row's last k values, which ascend, indexed by Sym_k's rows.  Each
-    block is a new array."""
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
-    k = _block_degree(n)
-    sym_k = unrank_rows(k, np.arange(factorial(k)))
-    for i, first in enumerate(unrank_rows(n, np.arange(0, factorial(n), factorial(k)))):
-        rows = np.empty((len(sym_k), n), dtype=np.int8)
-        rows[:, :n - k] = first[:n - k]
-        rows[:, n - k:] = first[n - k:][sym_k]
-        yield i * len(sym_k), rows

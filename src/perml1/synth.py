@@ -96,9 +96,7 @@ def word_transposition(n: int, k: int, m: int) -> GeneratorWord:
     return GeneratorWord(n, tuple(free_reduce(letters)))
 
 
-def _emit_transposition_stream(
-    n: int, stream: Sequence[tuple[int, int]], start_pos: int = 0
-) -> tuple[list[str], int]:
+def _emit_transposition_stream(n: int, stream: Sequence[tuple[int, int]]) -> tuple[list[str], int]:
     """Letters realizing the left-to-right product of transpositions (a, b).
 
     Each factor is conjugated to base a; adjacent conjugation powers merge
@@ -106,7 +104,7 @@ def _emit_transposition_stream(
     caller closes the frame with a rotation back to 0.
     """
     letters: list[str] = []
-    pos = start_pos
+    pos = 0
     for a, b in stream:
         letters += rotation_word(n, a - pos)
         letters += _transposition_letters(n, (b - a) % n)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from typing import NamedTuple
@@ -9,7 +10,7 @@ import pytest
 from perml1 import audits, metric
 from perml1.embed import identity_distances
 from perml1.metric import bfs_distances, formula_distance, formula_terms_batch, generator_neighbors_rows
-from perml1.perms import Permutation, perm_blocks
+from perml1.perms import Permutation, unrank_rows
 
 
 def seeded_elements(n, count):
@@ -58,10 +59,11 @@ def sweep():
                 (6 * sums + 2 * diams).min(axis=1)]
         return [rows, *mins, *identity_distances(rows)]
 
-    return {
-        n: Sweep(*map(np.concatenate, zip(*(scores(rows) for _, rows in perm_blocks(n)))))
-        for n in range(1, 10)
-    }
+    def ranges(n, block=math.factorial(8)):  # Sym_9 a range of 8! ranks at a time
+        size = math.factorial(n)
+        return (unrank_rows(n, np.arange(lo, min(lo + block, size))) for lo in range(0, size, block))
+
+    return {n: Sweep(*map(np.concatenate, zip(*map(scores, ranges(n))))) for n in range(1, 10)}
 
 
 @pytest.fixture(scope="session")

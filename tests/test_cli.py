@@ -57,9 +57,15 @@ class TestOracle:
         assert target.read_bytes() == expected.encode()
 
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_bytes_match_csv_writer(self, n, tmp_path):
-        # the reference: csv.writer over Permutation objects, as the oracle once wrote it
+    @pytest.mark.parametrize(
+        "n, block_degree",
+        [pytest.param(n, 8, id=str(n)) for n in range(1, 9)]
+        + [pytest.param(n, k, id=f"{n}-block{k}") for k in (1, 2, 3) for n in range(1, 7)],
+    )
+    def test_bytes_match_csv_writer(self, n, block_degree, tmp_path, monkeypatch):
+        # the reference: csv.writer over Permutation objects, as the oracle once wrote it;
+        # ranges smaller than Sym_n put seams between the oracle's writes
+        monkeypatch.setattr("perml1.perms._BLOCK_DEGREE", block_degree)
         reference = io.StringIO()
         writer = csv.writer(reference)
         writer.writerow(["perm", "dist"])
@@ -226,9 +232,9 @@ class TestBudget:
         assert code == 1 and out == "" and "budget" in err
 
     def test_oracle_streams_its_csv(self, tmp_path, monkeypatch, traced_peak_and_largest_check):
-        # With blocks of 6! ranks the BFS over Sym_8 checks 0.14 MB: its
+        # With ranges of 6! ranks the BFS over Sym_8 checks 0.14 MB: its
         # 40 KB table and one small block.  Beyond that the command may hold
-        # argparse and the CSV writer's buffers (about 0.2 MB on Python
+        # one range's CSV text and its buffers (about 0.2 MB on Python
         # 3.11), but not a list of the 40,320 distances (0.32 MB).
         monkeypatch.setattr("perml1.perms._BLOCK_DEGREE", 6)
         out = tmp_path / "oracle.csv"

@@ -20,7 +20,6 @@ from perml1.perms import (
     cycle_dist,
     eval_word,
     inverse,
-    perm_blocks,
     perm_rank,
     perm_unrank,
     unrank_rows,
@@ -210,24 +209,3 @@ class TestUnrankRows:
     def test_degree_out_of_range(self, n):
         with pytest.raises(ValueError, match="degree must be >= 1 and <= 20"):
             unrank_rows(n, np.array([0]))
-
-
-class TestBlocks:
-    @pytest.mark.parametrize(
-        "n, block_degree",
-        [pytest.param(n, 8, id=str(n)) for n in range(1, 9)]
-        + [pytest.param(n, k, id=f"{n}-block{k}") for k in (1, 2, 3) for n in range(1, 9)],
-    )
-    def test_blocks_are_sym_n_in_rank_order(self, n, block_degree, monkeypatch):
-        monkeypatch.setattr("perml1.perms._BLOCK_DEGREE", block_degree)
-        blocks = list(perm_blocks(n))
-        rows = np.concatenate([rows for _, rows in blocks])
-        assert rows.dtype == np.int8
-        assert np.array_equal(rows, np.array(list(itertools.permutations(range(n))), dtype=np.int8))
-        assert all(rows.shape == (math.factorial(min(n, block_degree)), n) for _, rows in blocks)
-        for lo, rows in blocks:
-            assert lo == perm_rank(Permutation(n, tuple(int(x) for x in rows[0])))
-
-    def test_degree_must_be_positive(self):
-        with pytest.raises(ValueError, match="degree must be >= 1"):
-            next(perm_blocks(0))
