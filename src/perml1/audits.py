@@ -209,15 +209,14 @@ def distortion_audit(
             checked, expansion, contraction = _score(sigma, d, d, scale1)
     else:
         # per pair: the quotient, the bracket and the scores; and the largest stage: the two
-        # drawn rows with the second's list (about 120 B per row array beyond its data) or
-        # with the argsort, the kernel, identity_distances, or the witness re-check's profiles
+        # drawn rows with their argsort, the kernel, identity_distances, or the witness
+        # re-check's profiles
         m = sample_size
-        largest = max(m * (16 * n + 120), _formula_batch_bytes(m, n), _identity_temp_bytes(m, n),
-                      2 * _profile_bytes(n))
+        largest = max(24 * m * n, _formula_batch_bytes(m, n), _identity_temp_bytes(m, n), 2 * _profile_bytes(n))
         check_memory(m * (8 * n + 49) + largest, f"the envelope audit of {m:,} pairs in Sym_{n}")
-        # the drawn rows die with the call: only their quotient is read
-        sigma = _quotients(np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64),
-                           np.array([rng.permutation(n) for _ in range(sample_size)], dtype=np.int64))
+        # each row is the rng.permutation(n) draw, in order; the rows die with the call
+        identity = np.broadcast_to(np.arange(n, dtype=np.int64), (m, n))
+        sigma = _quotients(rng.permuted(identity, axis=1), rng.permuted(identity, axis=1))
         checked, expansion, contraction = _score(sigma, *_bracket(*formula_terms_batch(sigma)), scale1)
 
     return DistortionReport(

@@ -203,8 +203,9 @@ def formula_length(p: Permutation) -> FormulaBreakdown:
     sum(l) = sum_k d(k, p(k)+l) on the n-cycle; the diameter term covers
     {0, l} together with the points where p differs from the rotation x -> x-l.
     Here sum(l) = sum_d hist[d] * dist0[(d + l) mod n] over the displacement
-    histogram, and the diameter is the largest v <= n // 2 with
-    M & rot_v(M) != 0 for the n-bit member mask M of shift l.
+    histogram.  The diameter is n // 2 for every light shift (the lemma in
+    formula_terms_batch), and for the at most two heavy ones the largest
+    v <= n // 2 with M & rot_v(M) != 0 for the n-bit member mask M of shift l.
     """
     n = p.n
     hist = [0] * n
@@ -218,13 +219,11 @@ def formula_length(p: Permutation) -> FormulaBreakdown:
     terms = []
     for l in range(n):
         s = sum(map(mul, hist, dist0[l:l + n]))
-        member = (full & ~matched[l]) | 1 | 1 << l
-        doubled = member | member << n  # bit j + v of doubled is bit (j + v) mod n of member
-        diam = 0
-        for v in range(n // 2, 0, -1):
-            if doubled >> v & member:
-                diam = v
-                break
+        diam = n // 2  # the diameter of every light shift
+        if 2 * hist[-l % n] >= n:  # a heavy shift: l matches at least n/2 positions
+            member = (full & ~matched[l]) | 1 | 1 << l
+            doubled = member | member << n  # bit j + v of doubled is bit (j + v) mod n of member
+            diam = next((v for v in range(n // 2, 0, -1) if doubled >> v & member), 0)
         terms.append(ShiftTerms(l, s, diam))
     value = min(t.sum + t.diam for t in terms)
     l_star = next(t.l for t in terms if t.sum + t.diam == value)
@@ -238,26 +237,24 @@ def formula_distance(p: Permutation, q: Permutation) -> FormulaBreakdown:
     return formula_length(compose(q, inverse(p)))
 
 
-def _words(mask: int, count: int) -> list[int]:
-    """The low `count` 64-bit words of a bit mask, least significant first."""
-    return [(mask >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(count)]
-
-
-def _mask_layout(n: int, chunk: int) -> tuple[int, int, int]:
-    """Words per shift mask and per doubled mask, and rows per block."""
+def _mask_layout(n: int, chunk: int) -> tuple[int, int, int, int]:
+    """Words per member mask and per doubled mask, heavy entries per block, and
+    an entry's bytes at most: its displacement row and comparison, bool bits
+    and packed copies, or the scan's windows and compacted copies."""
     words = -(-n // 64)
     dwords = words + n // 2 // 64 + 1  # a rot_v window for v <= n // 2 reads no further
-    return words, dwords, max(1, min(chunk, _FORMULA_BLOCK_BYTES // (8 * n * dwords)))
+    entry = 9 * n + 80 * dwords + 32
+    return words, dwords, max(1, min(chunk, _FORMULA_BLOCK_BYTES // entry)), entry
 
 
 def _formula_batch_bytes(m: int, n: int, chunk: int = 1024) -> int:
     """Bytes formula_terms_batch holds at its peak for m int64 rows: per cell,
-    the displacements, histogram, sums, matched shifts and diameters, and the
-    histogram's BLAS-packed copy, which stays resident; the circulant, its
-    float cast and packed copy; and four block-sized arrays (the doubled
-    masks, their member part and two shifted windows)."""
-    _, dwords, block = _mask_layout(n, chunk)
-    return 8 * (6 * m * n + 3 * n * n + 4 * min(m, block) * n * dwords)
+    the displacements, histogram, its float cast and product (later the sums,
+    a doubled histogram and the diameters), and the product's BLAS-packed
+    copy, which stays resident; the circulant, its float cast and packed
+    copy; two indices per heavy entry (at most 2 per row); and one block."""
+    _, _, block, entry = _mask_layout(n, chunk)
+    return 8 * (5 * m * n + 3 * n * n + 4 * m) + min(2 * m, block) * entry
 
 
 def formula_terms_batch(perms: np.ndarray, chunk: int = 1024) -> tuple[np.ndarray, np.ndarray]:
@@ -272,17 +269,23 @@ def formula_terms_batch(perms: np.ndarray, chunk: int = 1024) -> tuple[np.ndarra
 
     - Sum term, histogram times circulant: sums = hist @ C, where hist[d]
       counts the k with d(k) = d and C[d, l] = dist0[(d + l) mod n].
-    - Diameter term, shift masks: shift l matches exactly the positions q
-      with d(q) = -l mod n, so its member set M_l (mismatches plus {0, l})
-      is an n-bit mask.  A pair of members at cycle distance v exists iff
-      M_l & rot_v(M_l) != 0, with rot_v(M) bit j = M bit (j + v) mod n, so
-      the diameter is the largest v <= n // 2 passing that test (0 if
-      none).  Masks span ceil(n / 64) uint64 words; each is stored twice
-      over ("doubled": bits q and q + n) so that rot_v is a plain right
-      shift by v.  v is scanned downward, dropping decided entries.
+    - Diameter term: shift l matches exactly the k = hist[-l mod n]
+      positions q with d(q) = -l; its member set M_l holds every other
+      position and {0, l}.  Lemma: if 2k < n (l is light), diam_l = n // 2.
+      For even n the k < n/2 matched positions miss one of the n/2
+      disjoint antipodal pairs {j, j + n/2}, which lies in M_l.  For odd
+      n = 2h + 1 each position lies in two of the n pairs {j, j + h}, so
+      the matched positions touch at most 2k < n pairs and miss one.  The
+      hist values of a row sum to n, so at most two shifts per row are
+      heavy (2k >= n), and only those are scanned: a pair of members at
+      cycle distance v exists iff M_l & rot_v(M_l) != 0, with rot_v(M) bit
+      j = M bit (j + v) mod n, so the diameter is the largest v <= n // 2
+      passing that test (0 if none).  Masks are packed into uint64 words,
+      twice over ("doubled": bits q and q + n) so that rot_v is a plain
+      right shift by v; v is scanned downward, dropping decided entries.
 
-    Rows are processed in blocks of at most `chunk` rows, fewer where the
-    doubled masks of a block would exceed _FORMULA_BLOCK_BYTES.
+    Heavy entries are scanned in blocks of at most `chunk`, fewer where a
+    block's temporaries would exceed _FORMULA_BLOCK_BYTES.
     """
     perms = np.asarray(perms, dtype=np.int64)
     m, n = perms.shape
@@ -290,40 +293,37 @@ def formula_terms_batch(perms: np.ndarray, chunk: int = 1024) -> tuple[np.ndarra
     disp = (perms - pos) % n
     dist0 = np.minimum(pos, n - pos)
     circulant = dist0[(pos[:, None] + pos[None, :]) % n]
-    hist = np.bincount((np.arange(m)[:, None] * n + disp).ravel(), minlength=m * n)
+    hist = np.bincount((np.arange(m)[:, None] * n + disp).ravel(), minlength=m * n).reshape(m, n)
     # float64 products and sums of integers below 2**53 are exact, and use BLAS
-    sums = (hist.reshape(m, n).astype(np.float64) @ circulant).astype(np.int64)
+    sums = (hist.astype(np.float64) @ circulant).astype(np.int64)
 
+    rows, matched = np.nonzero(2 * hist >= n)  # the heavy entries, by row and displacement
+    del hist
     half = n // 2
-    words, dwords, block = _mask_layout(n, chunk)
-    low = np.array(_words((1 << n) - 1, words), dtype=np.uint64)
-    full = np.array(_words((1 << 2 * n) - 1, dwords), dtype=np.uint64)
-    # {0, l} doubled: multiplying by 1 + 2**n copies bits q < n to q + n
-    pinned = np.array([_words((1 | 1 << l) * (1 | 1 << n), dwords) for l in range(n)], dtype=np.uint64)
-    bits = np.concatenate([pos, pos + n])
-    bits = bits[bits < 64 * dwords]
-    bit_values = np.left_shift(np.uint64(1), (bits % 64).astype(np.uint64))
-    neg = (-disp) % n  # the one shift each position matches
-    diams = np.zeros(m * n, dtype=np.int64)
-    for lo in range(0, m, block):
-        b = min(block, m - lo)
-        entries = np.arange(lo * n, (lo + b) * n)
-        doubled = np.tile(full, b * n)
-        slots = (np.arange(b)[:, None] * n + neg[lo:lo + b, bits % n]) * dwords + bits // 64
-        # each bit is set once in `full`, so subtracting a matched bit clears it
-        np.subtract.at(doubled, slots.ravel(), np.tile(bit_values, b))
-        doubled = (doubled.reshape(b, n, dwords) | pinned).reshape(b * n, dwords)
-        member = doubled[:, :words] & low
+    diams = np.full((m, n), half, dtype=np.int64)
+    words, dwords, block, _ = _mask_layout(n, chunk)
+    for lo in range(0, len(rows), block):
+        r, d = rows[lo:lo + block], matched[lo:lo + block]
+        l = -d % n
+        bits = np.zeros((len(r), 64 * dwords), dtype=bool)
+        bits[:, :n] = disp[r] != d[:, None]
+        bits[:, 0] = bits[np.arange(len(r)), l] = True
+        bits[:, n:n + half] = bits[:, :half]  # rot_v for v <= n // 2 reads bits below n + half
+        doubled = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+        bits[:, n:] = False
+        member = np.packbits(bits, axis=1, bitorder="little").view("<u8")[:, :words]
+        del bits
+        diams[r, l] = 0
         for v in range(half, 0, -1):
-            s, r = divmod(v, 64)
-            # numpy defines a uint64 shift by 64 as 0, which r = 0 relies on
-            window = (doubled[:, s:s + words] >> np.uint64(r)
-                      | doubled[:, s + 1:s + words + 1] << np.uint64(64 - r))
+            s, t = divmod(v, 64)
+            # numpy defines a uint64 shift by 64 as 0, which t = 0 relies on
+            window = (doubled[:, s:s + words] >> np.uint64(t)
+                      | doubled[:, s + 1:s + words + 1] << np.uint64(64 - t))
             hit = (window & member).any(axis=1)
             if hit.any():
-                diams[entries[hit]] = v
+                diams[r[hit], l[hit]] = v
                 keep = ~hit
-                entries, doubled, member = entries[keep], doubled[keep], member[keep]
-                if not len(entries):
+                r, l, doubled, member = r[keep], l[keep], doubled[keep], member[keep]
+                if not len(r):
                     break
-    return sums, diams.reshape(m, n)
+    return sums, diams

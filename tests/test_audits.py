@@ -237,6 +237,21 @@ class TestDistortionEnvelope:
         assert env.mode == "envelope"
         assert "envelope_note" in env.to_json_dict()
 
+    @pytest.mark.parametrize("n, seed", [(3, 0), (3, 7), (8, 1), (33, 2), (64, 5)])
+    def test_draws_are_per_row_permutations(self, n, seed, monkeypatch):
+        # the audit draws p's rows, then q's, as rng.permutation(n) would one row at a time,
+        # and leaves its generator where those draws leave it
+        generators, drawn = [], []
+        default_rng, quotients = np.random.default_rng, audits._quotients
+        made = lambda s: generators.append(default_rng(s)) or generators[-1]  # noqa: E731
+        monkeypatch.setattr(audits.np.random, "default_rng", made)
+        monkeypatch.setattr(audits, "_quotients", lambda p, q: drawn.append((p, q)) or quotients(p, q))
+        distortion_audit(n, mode="envelope", sample_size=40, seed=seed)
+        reference = default_rng(seed)
+        for rows in drawn[0]:
+            assert np.array_equal(rows, [reference.permutation(n) for _ in range(40)])
+        assert generators[0].integers(1 << 62, size=4).tolist() == reference.integers(1 << 62, size=4).tolist()
+
     def test_runs_beyond_bfs_range(self):
         report = distortion_audit(15, mode="envelope", sample_size=300, seed=1)
         assert report.pairs_checked <= 300

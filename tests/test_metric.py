@@ -53,16 +53,58 @@ def reference_bfs(n):
     return dist
 
 
-def reference_terms(p):
-    """Per-shift terms of p by the plain scan: for each shift l, the cycle_dist
-    sum and cycle_diam of {0, l} with the mismatch set.  O(n^3) per element."""
+def reference_shift(p, l):
+    """The shift-l terms of p by the plain scan: the cycle_dist sum and the
+    cycle_diam of {0, l} with the mismatch set.  O(n^2) per shift."""
     n = p.n
-    terms = []
-    for l in range(n):
-        s = sum(cycle_dist(n, k, (p.images[k] + l) % n) for k in range(n))
-        mismatch = [q for q in range(n) if p.images[q] != (q - l) % n]
-        terms.append(ShiftTerms(l, s, cycle_diam(n, [0, l] + mismatch)))
-    return tuple(terms)
+    s = sum(cycle_dist(n, k, (p.images[k] + l) % n) for k in range(n))
+    mismatch = [q for q in range(n) if p.images[q] != (q - l) % n]
+    return ShiftTerms(l, s, cycle_diam(n, [0, l] + mismatch))
+
+
+def reference_terms(p):
+    """Per-shift terms of p by the plain scan.  O(n^3) per element."""
+    return tuple(reference_shift(p, l) for l in range(p.n))
+
+
+def heavy_shifts(rows):
+    """Bool (m, n): shift l of a row is heavy when it matches at least n/2
+    positions, i.e. 2 * #{q : p(q) = q - l mod n} >= n."""
+    m, n = rows.shape
+    disp = (rows - np.arange(n)) % n
+    hist = np.bincount((np.arange(m)[:, None] * n + disp).ravel(), minlength=m * n).reshape(m, n)
+    return 2 * hist[:, -np.arange(n) % n] >= n
+
+
+def reference_diams(rows):
+    """Diameter terms of a batch by the pairwise scan of every shift's member
+    set, vectorised: shape (m, n), O(n^3) per row."""
+    m, n = rows.shape
+    pos = np.arange(n)
+    member = rows[:, None, :] != (pos[None, :] - pos[:, None]) % n  # [row, l, q]
+    member[:, :, 0] = True
+    member[:, pos, pos] = True
+    gap = np.abs(pos[:, None] - pos[None, :])
+    dist = np.minimum(gap, n - gap).astype(np.int8)  # the (m, n, n, n) pair tensor stays 1 B a cell
+    pairs = member[..., :, None] & member[..., None, :]
+    return np.where(pairs, dist, 0).max(axis=(2, 3))
+
+
+def heavy_families(n, seed=0):
+    """The identity, the reflection i -> -i (no heavy shift from n = 5 on),
+    every rotation, and every rotation times 1, 2 and 3 seeded transpositions."""
+    rng = np.random.default_rng(seed)
+    rows = [np.arange(n), -np.arange(n) % n]
+    for r in range(n):
+        row = np.roll(np.arange(n), r)
+        rows.append(row)
+        for _ in range(3):  # one more transposition each time
+            row = row.copy()
+            if n > 1:
+                i, j = rng.choice(n, 2, replace=False)
+                row[[i, j]] = row[[j, i]]
+            rows.append(row)
+    return np.array(rows)
 
 
 def assert_matches_reference(p):
@@ -395,15 +437,41 @@ class TestBatch:
     def test_matches_pure_python_property(self, images):
         self._assert_matches_scalar(np.array([images]))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_light_shift_lemma_exhaustive(self, n, perm_arrays):
+        # every light shift has diameter n // 2, and a row has at most two heavy shifts
+        rows = perm_arrays[n] if n in perm_arrays else unrank_rows(n, np.arange(math.factorial(n))).astype(np.int64)
+        heavy = heavy_shifts(rows)
+        assert (heavy.sum(axis=1) <= 2).all()
+        diams = reference_diams(rows)
+        assert (diams[~heavy] == n // 2).all()
+        assert np.array_equal(formula_terms_batch(rows)[1], diams)
+
+    # n = 127..129 take about 0.8 s each, so they run with the slow tests
+    @pytest.mark.parametrize(
+        "n", [*range(1, 21), 63, 64, 65] + [pytest.param(n, marks=pytest.mark.slow) for n in (127, 128, 129)])
+    def test_heavy_shift_families_match_reference(self, n):
+        # every shift up to n = 20; beyond, the heavy ones (the plain scan of a light shift is O(n^2))
+        rows = heavy_families(n)
+        heavy = heavy_shifts(rows)
+        assert heavy[2::4].any(axis=1).all()  # a rotation matches every position at its shift
+        sums, diams = formula_terms_batch(rows)
+        for row, row_heavy, row_sums, row_diams in zip(rows, heavy, sums, diams):
+            p = Permutation(n, tuple(int(x) for x in row))
+            scalar = formula_length(p).per_shift
+            for l in range(n) if n <= 20 else np.flatnonzero(row_heavy):
+                assert (l, row_sums[l], row_diams[l]) == scalar[l] == reference_shift(p, l)
+
     def test_blocking_does_not_change_result(self, perm_arrays, monkeypatch):
-        rng = np.random.default_rng(0)
-        for rows in (perm_arrays[5], np.array([rng.permutation(70) for _ in range(9)])):
+        # blocks split the heavy entries, so the rows must hold more than one block of them
+        for rows in (perm_arrays[5], heavy_families(70)[::7]):
+            assert heavy_shifts(rows).sum() > 4
             default = formula_terms_batch(rows)
             for chunk in (1, 4):
                 sums, diams = formula_terms_batch(rows, chunk=chunk)
                 assert (sums == default[0]).all() and (diams == default[1]).all()
             with monkeypatch.context() as patch:
-                patch.setattr(metric, "_FORMULA_BLOCK_BYTES", 1)  # one row per block
+                patch.setattr(metric, "_FORMULA_BLOCK_BYTES", 1)  # one heavy entry per block
                 sums, diams = formula_terms_batch(rows)
             assert (sums == default[0]).all() and (diams == default[1]).all()
 
