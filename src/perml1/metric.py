@@ -34,8 +34,9 @@ MEMORY_BUDGET = 1 << 30
 # Largest BFS level the int8 distance table can hold.
 _MAX_LEVEL = np.iinfo(np.int8).max
 
-# Byte budget for the largest temporary of formula_terms_batch, the doubled
-# shift masks of one block of rows: it stays a few MB at any degree.
+# Byte budget for the largest temporaries of formula_terms_batch, those of one
+# block of heavy (row, shift) entries (_mask_layout's `entry` bytes each): it
+# stays a few MB at any degree.
 _FORMULA_BLOCK_BYTES = 1 << 23
 
 
@@ -209,19 +210,15 @@ def formula_length(p: Permutation) -> FormulaBreakdown:
     """
     n = p.n
     hist = [0] * n
-    matched = [0] * n  # matched[l]: bit mask of the positions shift l matches
     for q, image in enumerate(p.images):
-        d = (image - q) % n
-        hist[d] += 1
-        matched[-d % n] |= 1 << q
+        hist[(image - q) % n] += 1
     dist0 = [min(d, n - d) for d in range(n)] * 2  # doubled: column l is dist0[l:l + n]
-    full = (1 << n) - 1
     terms = []
     for l in range(n):
         s = sum(map(mul, hist, dist0[l:l + n]))
         diam = n // 2  # the diameter of every light shift
         if 2 * hist[-l % n] >= n:  # a heavy shift: l matches at least n/2 positions
-            member = (full & ~matched[l]) | 1 | 1 << l
+            member = sum(1 << q for q, image in enumerate(p.images) if (image - q + l) % n) | 1 | 1 << l
             doubled = member | member << n  # bit j + v of doubled is bit (j + v) mod n of member
             diam = next((v for v in range(n // 2, 0, -1) if doubled >> v & member), 0)
         terms.append(ShiftTerms(l, s, diam))
