@@ -97,8 +97,10 @@ def _bracket(sums: np.ndarray, diams: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _quotients(p_rows: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
-    """Rows of q * p^-1, the element that right-invariance scores for (p, q)."""
-    return np.take_along_axis(q_rows, np.argsort(p_rows, axis=1), axis=1)
+    """Rows of q * p^-1, the element right-invariance scores for (p, q): sigma[p(k)] = q(k)."""
+    sigma = np.empty_like(q_rows)
+    np.put_along_axis(sigma, p_rows, q_rows, axis=1)
+    return sigma
 
 
 def _witness(row: np.ndarray) -> tuple[Permutation, Permutation]:
@@ -106,19 +108,21 @@ def _witness(row: np.ndarray) -> tuple[Permutation, Permutation]:
     return Permutation.identity(n), Permutation(n, tuple(int(x) for x in row))
 
 
-def _check_witness(row: np.ndarray) -> tuple[str, str]:
-    """Check a witness's closed-form grid and profile distances against the
-    coordinates and return its text.  Each part sums at most 2n^2 terms of
-    size <= 2, each rounded far below 1e-12, hence the tolerance n^2 * 1e-12."""
-    p, q = _witness(row)
-    coordinates = (circle_grid_distance(circle_grid(p), circle_grid(q)),
-                   interval_profile(p).distance(interval_profile(q)))
-    parts = identity_distances(row[None, :])
-    for name, (closed_form,), reference in zip(("grid", "profile"), parts, coordinates):
-        if not isclose(closed_form, reference, rel_tol=1e-9, abs_tol=p.n * p.n * 1e-12):
-            raise PropertyViolation(f"closed-form {name} distance {float(closed_form)} of ({p}, {q}) "
-                                    f"differs from the coordinate distance {float(reference)}")
-    return str(p), str(q)
+def _check_witnesses(*rows: np.ndarray) -> list[tuple[str, str]]:
+    """Check each witness's closed-form grid and profile distances against the
+    coordinates, building the identity's once, and return the witnesses' text.
+    Each part sums at most 2n^2 terms of size <= 2, each rounded far below
+    1e-12, hence the tolerance n^2 * 1e-12."""
+    p = Permutation.identity(len(rows[0]))
+    grid, profile = circle_grid(p), interval_profile(p)
+    witnesses = [_witness(row)[1] for row in rows]
+    for q, *parts in zip(witnesses, *identity_distances(np.array(rows))):
+        coordinates = (circle_grid_distance(grid, circle_grid(q)), profile.distance(interval_profile(q)))
+        for name, closed_form, reference in zip(("grid", "profile"), parts, coordinates):
+            if not isclose(closed_form, reference, rel_tol=1e-9, abs_tol=p.n * p.n * 1e-12):
+                raise PropertyViolation(f"closed-form {name} distance {float(closed_form)} of ({p}, {q}) "
+                                        f"differs from the coordinate distance {float(reference)}")
+    return [(str(p), str(q)) for q in witnesses]
 
 
 def _score(sigma: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray,
@@ -133,7 +137,7 @@ def _score(sigma: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray,
     grid, profile = identity_distances(sigma)
     with np.errstate(over="ignore"):
         emb = scale1 * grid + profile
-    del grid, profile  # _check_witness recomputes the witnesses' parts
+    del grid, profile  # _check_witnesses recomputes the witnesses' parts
     if not np.isfinite(emb.max()):  # distances are >= 0: the max is inf or nan iff one is
         raise ValueError(f"combined distances overflow at scale1 = {scale1}")
     exp_ratios = np.where(distinct, emb / np.maximum(d_lo, 1e-300), -1.0)
@@ -185,8 +189,8 @@ def distortion_audit(
         # peak: the distinct mask and four float64 arrays (grid, profile, combined and a
         # temporary, or combined, expansion ratios and two temporaries).  A swept row
         # adds its int8 row, int64 rank, three int32 decoder digits and up to n bool
-        # carries; a sampled row its two draws, both rows, quotient and argsort.
-        rows, per_row = (block, 33 + 2 * n + 20) if sample_size is None else (sample_size, 33 + 12 * n + 24)
+        # carries; a sampled row its two draws (24), both int8 rows, quotient, digits, carries.
+        rows, per_row = (block, 33 + 2 * n + 20) if sample_size is None else (sample_size, 33 + 4 * n + 36)
         check_memory(size + 2 * _profile_bytes(n) + rows * per_row + _identity_temp_bytes(rows, n),
                      f"the exact audit of Sym_{n}")
         table = bfs_distances(n)
@@ -209,20 +213,18 @@ def distortion_audit(
             checked, expansion, contraction = _score(sigma, d, d, scale1)
     else:
         # per pair: the quotient, the bracket and the scores; and the largest stage: the two
-        # drawn rows with their argsort, the kernel, identity_distances, or the witness
-        # re-check's profiles
+        # drawn rows, the kernel, identity_distances, or the witness re-check's profiles
         m = sample_size
-        largest = max(24 * m * n, _formula_batch_bytes(m, n), _identity_temp_bytes(m, n), 2 * _profile_bytes(n))
+        largest = max(16 * m * n, _formula_batch_bytes(m, n), _identity_temp_bytes(m, n), 2 * _profile_bytes(n))
         check_memory(m * (8 * n + 49) + largest, f"the envelope audit of {m:,} pairs in Sym_{n}")
         # each row is the rng.permutation(n) draw, in order; the rows die with the call
         identity = np.broadcast_to(np.arange(n, dtype=np.int64), (m, n))
         sigma = _quotients(rng.permuted(identity, axis=1), rng.permuted(identity, axis=1))
         checked, expansion, contraction = _score(sigma, *_bracket(*formula_terms_batch(sigma)), scale1)
 
+    expansion_text, contraction_text = _check_witnesses(expansion[1], contraction[1])
     return DistortionReport(
-        n, mode, checked,
-        expansion[0], _check_witness(expansion[1]),
-        contraction[0], _check_witness(contraction[1]),
+        n, mode, checked, expansion[0], expansion_text, contraction[0], contraction_text,
         expansion[0] * contraction[0], scale1, sample_size, seed,
         _elapsed_ms(start),
     )

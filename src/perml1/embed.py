@@ -181,11 +181,11 @@ def combined_distance(a: CombinedPoint, b: CombinedPoint) -> float:
 
 def _identity_temp_bytes(m: int, n: int) -> int:
     """Temporaries identity_distances holds at its peak, per row and column of
-    a chunk: the previous chunk's arrays until their names are rebound (rows,
-    cells, hist, inv, run: 8 each; doubled, breaks, next_break: 16 each), the
-    2n-wide difference with its residue (32), and the histogram's BLAS-packed
-    copy (8), which stays resident."""
-    return 128 * n * min(m, _ROWS_PER_CHUNK)
+    a chunk: its rows as int64 (8); the previous chunk's inverse, breaks and
+    runs until rebound, with this chunk's cells, histogram and temporaries
+    (24 + 32), or this chunk's three with the reduction's temporaries
+    (24 + 24); and the histogram's BLAS-packed copy (8), which stays resident."""
+    return 72 * n * min(m, _ROWS_PER_CHUNK)
 
 
 def identity_distances(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,8 +203,11 @@ def identity_distances(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       iff length <= cap(start), with cap(0) = n and cap(u) = n - u + 1.  The
       identity's kept key at start v matches the interval of s at start u iff
       s^-1(u) = v and s^-1 steps by +1 along it, so
-      common = sum_u min(run(u), cap(u), cap(s^-1(u))), where run(u) <= n is
-      the length of the unit-step run of s^-1 starting at u.
+      common = sum_u min(run(u), cap(u), cap(s^-1(u))), where run(u) is the
+      length of the unit-step run of s^-1 from u: s^-1(u + 1 mod n) - s^-1(u)
+      is 1 or 1 - n along it, and it ends at the first break b >= u, so
+      run(u) = b - u + 1.  With no break in [u, n) the run passes n - 1 -> 0,
+      and b = n gives n - u + 1 >= cap(u), which keeps the minimum.
     """
     m, n = np.shape(sigma)
     k = np.arange(n)
@@ -213,14 +216,17 @@ def identity_distances(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     grid, profile = np.empty(m), np.empty(m)
     for lo in range(0, m, _ROWS_PER_CHUNK):
         rows = np.asarray(sigma[lo:lo + _ROWS_PER_CHUNK], dtype=np.int64)
-        cells = (rows - k) % n + n * np.arange(len(rows))[:, None]
+        cells = rows - k  # s(k) - k, plus n where negative, in histogram row r's cells from n r
+        cells += n * (cells < 0) + n * np.arange(len(rows))[:, None]
         hist = np.bincount(cells.ravel(), minlength=cells.size).reshape(-1, n).astype(np.float64)
         grid[lo:lo + _ROWS_PER_CHUNK] = ((hist @ kernel) * hist).sum(axis=1)
-        inv = np.argsort(rows, axis=1)
-        doubled = np.concatenate([inv, inv], axis=1)  # wrap-free runs
-        breaks = np.where(np.diff(doubled, axis=1) % n == 1, 2 * n - 1, np.arange(2 * n - 1))
-        next_break = np.minimum.accumulate(breaks[:, ::-1], axis=1)[:, ::-1]
-        run = np.minimum(next_break[:, :n] - k + 1, n)
+        del cells, hist
+        inv = np.empty_like(rows)
+        np.put_along_axis(inv, rows, k, axis=1)
+        step = np.roll(inv, -1, axis=1) - inv
+        breaks = np.where((step == 1) | (step == 1 - n), n, k)  # a unit step is no break
+        del step
+        run = np.minimum.accumulate(breaks[:, ::-1], axis=1)[:, ::-1] - k + 1
         common = np.minimum(np.minimum(run, cap), cap[inv]).sum(axis=1)
         profile[lo:lo + _ROWS_PER_CHUNK] = 2.0 * (cap.sum() - common) / n
     return grid, profile

@@ -9,6 +9,7 @@ against.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
@@ -35,7 +36,7 @@ MEMORY_BUDGET = 1 << 30
 _MAX_LEVEL = np.iinfo(np.int8).max
 
 # Byte budget for the largest temporaries of formula_terms_batch, those of one
-# block of heavy (row, shift) entries (_mask_layout's `entry` bytes each): it
+# block of heavy (row, shift) entries (_heavy_block's `entry` bytes each): it
 # stays a few MB at any degree.
 _FORMULA_BLOCK_BYTES = 1 << 23
 
@@ -142,9 +143,9 @@ def bfs_distances(n: int) -> DistanceTable:
         raise ValueError(f"degree must be >= 1, got {n}")
     size, k = factorial(n), _block_degree(n)
     h, block = n - k, factorial(k)
-    # per block: its first row, an equality test, an argmax and the heads; per rank
-    # of a block: Sym_k's rows, argsort and int8 copies, cols, and the scan's temporaries
-    check_memory(size + (2 * n + 11) * (size // block) + (9 * k + 2 * n + 64) * block,
+    # per block: its first row, an equality test, an argmax and the heads; per rank: Sym_k's int8 rows with
+    # decoder digits and carries (12 + k) or their inverse and its shifted copy (2k), cols, scan temporaries
+    check_memory(size + (2 * n + 11) * (size // block) + (3 * k + 2 * n + 76) * block,
                  f"the BFS over Sym_{n}")
     dist = np.full(size, -1, dtype=np.int8)
     dist[0] = 0
@@ -153,8 +154,10 @@ def bfs_distances(n: int) -> DistanceTable:
     # cols[j], per row of a block: the position of the head's value at j < h, or of the
     # (j-h)-th smallest value off the head, which the block's first row (its tail ascends)
     # has at j.  So heads, the positions of 0, 1 and n-1 in the first rows, index cols.
-    cols = np.concatenate([np.repeat(np.arange(h, dtype=np.int8), block).reshape(h, block),
-                           h + np.argsort(unrank_rows(k, np.arange(block)), axis=1).T.astype(np.int8)])
+    sym_k = unrank_rows(k, np.arange(block))
+    inv = np.empty_like(sym_k)
+    np.put_along_axis(inv, sym_k, np.arange(k, dtype=np.int8), axis=1)  # inv[p(j)] = j
+    cols = np.concatenate([np.repeat(np.arange(h, dtype=np.int8), block).reshape(h, block), h + inv.T])
     first = unrank_rows(n, np.arange(0, size, block))
     heads = np.array([(first == v).argmax(axis=1).astype(np.int8) for v in (0, 1, n - 1)])
     reached = 0
@@ -205,10 +208,11 @@ def formula_length(p: Permutation) -> FormulaBreakdown:
     {0, l} together with the points where p differs from the rotation x -> x-l.
     Here sum(l) = sum_d hist[d] * dist0[(d + l) mod n] over the displacement
     histogram.  The diameter is n // 2 for every light shift (the lemma in
-    formula_terms_batch), and for the at most two heavy ones the largest
-    v <= n // 2 with M & rot_v(M) != 0 for the n-bit member mask M of shift l.
+    formula_terms_batch), and for the at most two heavy ones the antipodal
+    search of that kernel: the largest near(x) - x over the members x, with
+    near(x) the last member at or before x + n // 2 on the doubled ring.
     """
-    n = p.n
+    n, half = p.n, p.n // 2
     hist = [0] * n
     for q, image in enumerate(p.images):
         hist[(image - q) % n] += 1
@@ -216,11 +220,11 @@ def formula_length(p: Permutation) -> FormulaBreakdown:
     terms = []
     for l in range(n):
         s = sum(map(mul, hist, dist0[l:l + n]))
-        diam = n // 2  # the diameter of every light shift
+        diam = half  # the diameter of every light shift
         if 2 * hist[-l % n] >= n:  # a heavy shift: l matches at least n/2 positions
-            member = sum(1 << q for q, image in enumerate(p.images) if (image - q + l) % n) | 1 | 1 << l
-            doubled = member | member << n  # bit j + v of doubled is bit (j + v) mod n of member
-            diam = next((v for v in range(n // 2, 0, -1) if doubled >> v & member), 0)
+            members = [q for q, image in enumerate(p.images) if q in (0, l) or (image - q + l) % n]
+            ring = members + [q + n for q in members]
+            diam = max(ring[bisect_right(ring, q + half) - 1] - q for q in members)
         terms.append(ShiftTerms(l, s, diam))
     value = min(t.sum + t.diam for t in terms)
     l_star = next(t.l for t in terms if t.sum + t.diam == value)
@@ -234,14 +238,12 @@ def formula_distance(p: Permutation, q: Permutation) -> FormulaBreakdown:
     return formula_length(compose(q, inverse(p)))
 
 
-def _mask_layout(n: int, chunk: int) -> tuple[int, int, int, int]:
-    """Words per member mask and per doubled mask, heavy entries per block, and
-    an entry's bytes at most: its displacement row and comparison, bool bits
-    and packed copies, or the scan's windows and compacted copies."""
-    words = -(-n // 64)
-    dwords = words + n // 2 // 64 + 1  # a rot_v window for v <= n // 2 reads no further
-    entry = 9 * n + 80 * dwords + 32
-    return words, dwords, max(1, min(chunk, _FORMULA_BLOCK_BYTES // entry)), entry
+def _heavy_block(n: int, chunk: int) -> tuple[int, int]:
+    """Heavy entries per block, and an entry's bytes at most: its displacement
+    row and member bits (9 a position), or the bits and the doubled ring (3)
+    with, per member (at most n // 2 + 2 of them), 6 live int64 values."""
+    entry = 11 * n + 48 * min(n, n // 2 + 2) + 64
+    return max(1, min(chunk, _FORMULA_BLOCK_BYTES // entry)), entry
 
 
 def _formula_batch_bytes(m: int, n: int, chunk: int = 1024) -> int:
@@ -250,7 +252,7 @@ def _formula_batch_bytes(m: int, n: int, chunk: int = 1024) -> int:
     a doubled histogram and the diameters), and the product's BLAS-packed
     copy, which stays resident; the circulant, its float cast and packed
     copy; two indices per heavy entry (at most 2 per row); and one block."""
-    _, _, block, entry = _mask_layout(n, chunk)
+    block, entry = _heavy_block(n, chunk)
     return 8 * (5 * m * n + 3 * n * n + 4 * m) + min(2 * m, block) * entry
 
 
@@ -274,20 +276,22 @@ def formula_terms_batch(perms: np.ndarray, chunk: int = 1024) -> tuple[np.ndarra
       n = 2h + 1 each position lies in two of the n pairs {j, j + h}, so
       the matched positions touch at most 2k < n pairs and miss one.  The
       hist values of a row sum to n, so at most two shifts per row are
-      heavy (2k >= n), and only those are scanned: a pair of members at
-      cycle distance v exists iff M_l & rot_v(M_l) != 0, with rot_v(M) bit
-      j = M bit (j + v) mod n, so the diameter is the largest v <= n // 2
-      passing that test (0 if none).  Masks are packed into uint64 words,
-      twice over ("doubled": bits q and q + n) so that rot_v is a plain
-      right shift by v; v is scanned downward, dropping decided entries.
+      heavy (2k >= n), and only those are searched.
+    - Antipodal search, h = n // 2: members x, y at forward offset
+      o = (y - x) mod n are min(o, n - o) apart, which is o if o <= h, else
+      n - o <= h, the offset from y to x.  So diam_l is the largest near(x) - x
+      over the members x < n, near(x) being the last member at or before
+      x + h < 2n (x qualifies) on the ring of members j and j + n.  A block's
+      rings are sorted keys 2n e + j: one np.searchsorted finds every near(x).
 
-    Heavy entries are scanned in blocks of at most `chunk`, fewer where a
+    Heavy entries are searched in blocks of at most `chunk`, fewer where a
     block's temporaries would exceed _FORMULA_BLOCK_BYTES.
     """
     perms = np.asarray(perms, dtype=np.int64)
     m, n = perms.shape
     pos = np.arange(n)
-    disp = (perms - pos) % n
+    disp = perms - pos
+    np.add(disp, n, out=disp, where=disp < 0)
     dist0 = np.minimum(pos, n - pos)
     circulant = dist0[(pos[:, None] + pos[None, :]) % n]
     hist = np.bincount((np.arange(m)[:, None] * n + disp).ravel(), minlength=m * n).reshape(m, n)
@@ -296,31 +300,18 @@ def formula_terms_batch(perms: np.ndarray, chunk: int = 1024) -> tuple[np.ndarra
 
     rows, matched = np.nonzero(2 * hist >= n)  # the heavy entries, by row and displacement
     del hist
-    half = n // 2
-    diams = np.full((m, n), half, dtype=np.int64)
-    words, dwords, block, _ = _mask_layout(n, chunk)
+    diams = np.full((m, n), n // 2, dtype=np.int64)
+    block, _ = _heavy_block(n, chunk)
     for lo in range(0, len(rows), block):
         r, d = rows[lo:lo + block], matched[lo:lo + block]
         l = -d % n
-        bits = np.zeros((len(r), 64 * dwords), dtype=bool)
-        bits[:, :n] = disp[r] != d[:, None]
+        bits = disp[r] != d[:, None]
         bits[:, 0] = bits[np.arange(len(r)), l] = True
-        bits[:, n:n + half] = bits[:, :half]  # rot_v for v <= n // 2 reads bits below n + half
-        doubled = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-        bits[:, n:] = False
-        member = np.packbits(bits, axis=1, bitorder="little").view("<u8")[:, :words]
-        del bits
-        diams[r, l] = 0
-        for v in range(half, 0, -1):
-            s, t = divmod(v, 64)
-            # numpy defines a uint64 shift by 64 as 0, which t = 0 relies on
-            window = (doubled[:, s:s + words] >> np.uint64(t)
-                      | doubled[:, s + 1:s + words + 1] << np.uint64(64 - t))
-            hit = (window & member).any(axis=1)
-            if hit.any():
-                diams[r[hit], l[hit]] = v
-                keep = ~hit
-                r, l, doubled, member = r[keep], l[keep], doubled[keep], member[keep]
-                if not len(r):
-                    break
+        ring = np.flatnonzero(np.concatenate([bits, bits], axis=1))
+        entry, x = np.nonzero(bits)
+        starts = np.flatnonzero(x == 0)  # position 0 is each entry's first member
+        x += 2 * n * entry  # each member's key on the first half of its ring
+        del bits, entry
+        near = ring[np.searchsorted(ring, x + n // 2, side="right") - 1]
+        diams[r, l] = np.maximum.reduceat(near - x, starts)
     return sums, diams

@@ -41,8 +41,8 @@ def reference_sampled_exact(n, sample_size, seed):
     sigma = audits._quotients(elements[ii], elements[jj])
     d = bfs_distances(n).dist[rank_rows(sigma)]
     checked, (exp, exp_row), (con, con_row) = audits._score(sigma, d, d, DEFAULT_GRID_SCALE)
-    return masked(DistortionReport(n, "exact", checked, exp, audits._check_witness(exp_row), con,
-                                   audits._check_witness(con_row), exp * con, DEFAULT_GRID_SCALE,
+    exp_text, con_text = audits._check_witnesses(exp_row, con_row)
+    return masked(DistortionReport(n, "exact", checked, exp, exp_text, con, con_text, exp * con, DEFAULT_GRID_SCALE,
                                    sample_size, seed, 0.0))
 
 
@@ -256,6 +256,20 @@ class TestDistortionEnvelope:
         report = distortion_audit(15, mode="envelope", sample_size=300, seed=1)
         assert report.pairs_checked <= 300
         assert np.isfinite(report.distortion)
+
+
+class TestQuotients:
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 40])
+    def test_matches_compose_with_inverse(self, n, dtype):
+        rng = np.random.default_rng(n)
+        identity = np.broadcast_to(np.arange(n), (50, n))
+        p_rows, q_rows = (rng.permuted(identity, axis=1).astype(dtype) for _ in range(2))
+        sigma = audits._quotients(p_rows, q_rows)
+        assert sigma.dtype == dtype
+        for p, q, row in zip(p_rows, q_rows, sigma):
+            p, q = (Permutation(n, tuple(int(x) for x in r)) for r in (p, q))
+            assert tuple(row.tolist()) == compose(q, inverse(p)).images
 
 
 class TestMemoryBudget:

@@ -291,6 +291,28 @@ class TestIdentityDistances:
         want = np.array([self.coordinate_parts(ident, combined_embed(p)) for p in perms])
         assert np.allclose(grid, want[:, 0], rtol=1e-12, atol=1e-12)
         assert np.allclose(profile, want[:, 1], rtol=1e-12, atol=1e-12)
+        combined = [combined_distance(ident, combined_embed(p)) for p in perms]
+        assert np.allclose(DEFAULT_GRID_SCALE * grid + profile, combined, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 20, 33, 40])
+    def test_rotations_and_near_rotations(self, n):
+        # the inverse of a rotation is one unit-step run through n - 1 -> 0, and a
+        # transposition of a rotation (seeded, or of the wrapping pair n - 1, 0) cuts it
+        rng = np.random.default_rng(n)
+        rows = []
+        for r in range(n):
+            row = np.roll(np.arange(n), r)
+            rows.append(row)
+            for i, j in (rng.choice(n, 2, replace=False), (n - 1, 0)):
+                near = row.copy()
+                near[[i, j]] = near[[j, i]]
+                rows.append(near)
+        grid, profile = identity_distances(np.array(rows))
+        ident = combined_embed(Permutation.identity(n))
+        want = np.array([self.coordinate_parts(ident, combined_embed(Permutation(n, tuple(int(x) for x in row))))
+                         for row in rows])
+        assert np.allclose(grid, want[:, 0], rtol=1e-12, atol=1e-12)
+        assert np.allclose(profile, want[:, 1], rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(6, 13))
     def test_edges_match_their_coordinates(self, n):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -107,6 +108,31 @@ def heavy_families(n, seed=0):
     return np.array(rows)
 
 
+def wrap_families(n, seed=0):
+    """Every rotation with a seeded cluster of positions -w..w-1 (mod n), which
+    straddles 0, cycled among themselves: the members of the rotation's heavy
+    shift then lie on both sides of the wrap from n - 1 to 0."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for r in range(n):
+        row = np.roll(np.arange(n), r)
+        cluster = np.arange(-int(rng.integers(1, max(1, n // 4) + 1)), 0) % n
+        cluster = np.concatenate([cluster, np.arange(len(cluster)) % n])
+        row[cluster] = row[np.roll(cluster, 1)]
+        rows.append(row)
+    return np.array(rows)
+
+
+def cube_rows(n):
+    """cube_audit(n)'s rows: hamming_embed of every nonzero bit vector, at degree 4n^2."""
+    degree = 4 * n * n
+    bits = np.arange(1, 2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+    rows = np.tile(np.arange(degree), (len(bits), 1))
+    rows[:, :n] += n * bits
+    rows[:, n:2 * n] -= n * bits
+    return rows
+
+
 def assert_matches_reference(p):
     fb = formula_length(p)
     terms = reference_terms(p)
@@ -142,7 +168,7 @@ class TestBfs:
     def test_guard(self, monkeypatch):
         # the table of Sym_13 alone exceeds the budget: refused before any array exists
         monkeypatch.setattr(metric.np, "full", lambda *a, **k: pytest.fail("table allocated"))
-        with pytest.raises(ResourceLimitError, match="BFS over Sym_13 needs 6,239,266,920 bytes, over the memory"):
+        with pytest.raises(ResourceLimitError, match="BFS over Sym_13 needs 6,237,815,400 bytes, over the memory"):
             bfs_distances(13)
 
     def test_budget_is_checked_once_before_the_table(self, monkeypatch):
@@ -461,6 +487,33 @@ class TestBatch:
             scalar = formula_length(p).per_shift
             for l in range(n) if n <= 20 else np.flatnonzero(row_heavy):
                 assert (l, row_sums[l], row_diams[l]) == scalar[l] == reference_shift(p, l)
+
+    @pytest.mark.parametrize(
+        "n", [*range(1, 21), 63, 64, 65] + [pytest.param(n, marks=pytest.mark.slow) for n in (127, 128, 129)])
+    def test_wrapping_members_match_reference(self, n):
+        # clusters straddling 0 against the plain scan, at every shift up to n = 20 and
+        # the heavy ones beyond; a rotation's heavy shift l has the two members {0, l}
+        sums, diams = formula_terms_batch(wrap_families(n))
+        for row, row_sums, row_diams in zip(wrap_families(n), sums, diams):
+            p = Permutation(n, tuple(int(x) for x in row))
+            scalar = formula_length(p).per_shift
+            for l in range(n) if n <= 20 else np.flatnonzero(heavy_shifts(row[None, :])[0]):
+                assert (l, row_sums[l], row_diams[l]) == scalar[l] == reference_shift(p, l)
+        rotations = np.array([np.roll(np.arange(n), l) for l in range(n)])  # q -> q - l matches all at shift l
+        assert np.diagonal(formula_terms_batch(rotations)[1]).tolist() == [min(l, n - l) for l in range(n)]
+
+    def test_budget_covers_cube_rows(self):
+        # cube_audit(12)'s rows: degree 576 and 4,095 heavy entries, searched in several blocks
+        rows = cube_rows(12)
+        m, n = rows.shape
+        assert heavy_shifts(rows).sum() == 4095 > metric._heavy_block(n, 1024)[0]
+        tracemalloc.start()
+        try:
+            formula_terms_batch(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= metric._formula_batch_bytes(m, n)
 
     def test_blocking_does_not_change_result(self, perm_arrays, monkeypatch):
         # blocks split the heavy entries, so the rows must hold more than one block of them
