@@ -88,9 +88,10 @@ def _elapsed_ms(start: float) -> float:
 
 
 def _bracket(sums: np.ndarray, diams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The formula bracket [F/3, min(6*sum+2*diam)] of each row's word length."""
-    d_lo = (sums + diams).min(axis=1) / 3.0
-    d_hi = (6 * sums + 2 * diams).min(axis=1).astype(np.float64)
+    """The formula bracket [F/3, min(6*sum+2*diam)] of each row's word length; it overwrites sums and diams."""
+    d_lo = np.add(diams, sums, out=diams).min(axis=1) / 3.0
+    sums *= 2
+    d_hi = 2.0 * np.add(diams, sums, out=diams).min(axis=1)  # twice min(3*sum + diam)
     if (d_lo > d_hi).any():
         raise PropertyViolation("formula bracket inverted: F/3 > min(6*sum+2*diam)")
     return d_lo, d_hi
@@ -212,10 +213,10 @@ def distortion_audit(
             d = table.dist[rank_rows(sigma)]
             checked, expansion, contraction = _score(sigma, d, d, scale1)
     else:
-        # per pair: the quotient, the bracket and the scores; and the largest stage: the two
-        # drawn rows, the kernel, identity_distances, or the witness re-check's profiles
+        # per pair: the quotient, the bracket and the scores; and the largest stage: the kernel
+        # (its outputs outweigh the two drawn rows), identity_distances, or the witness re-check's profiles
         m = sample_size
-        largest = max(16 * m * n, _formula_batch_bytes(m, n), _identity_temp_bytes(m, n), 2 * _profile_bytes(n))
+        largest = max(_formula_batch_bytes(m, n), _identity_temp_bytes(m, n), 2 * _profile_bytes(n))
         check_memory(m * (8 * n + 49) + largest, f"the envelope audit of {m:,} pairs in Sym_{n}")
         # each row is the rng.permutation(n) draw, in order; the rows die with the call
         identity = np.broadcast_to(np.arange(n, dtype=np.int64), (m, n))
@@ -277,7 +278,7 @@ def cube_audit(
     the displacement sum is uniquely minimized at shift 0 on every pair, and
     (when the degree is BFS-feasible) compares with exact distances.  Its
     arrays are checked against MEMORY_BUDGET first: exhaustive runs reach
-    n = 14, and n = 15 raises ResourceLimitError unless sampled.
+    n = 15, and n = 16 raises ResourceLimitError unless sampled.
     """
     start = time.perf_counter()
     if n < 1:
@@ -286,7 +287,7 @@ def cube_audit(
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     degree = 4 * n * n
     rows = 2 ** n - 1 if sample_size is None else sample_size
-    # the bits and sigma live through the kernel, and the bracket reuses the kernel's freed arrays
+    # the bits and sigma live through the kernel, and the bracket reduces its outputs in place
     check_memory(8 * rows * (n + degree) + _formula_batch_bytes(rows, degree),
                  f"the cube audit of {rows:,} vectors at degree {degree}")
     if sample_size is None:  # the nonzero vectors in itertools.product order, first bit highest
@@ -305,12 +306,12 @@ def cube_audit(
     sigma[:, :n] += n * bits
     sigma[:, n:2 * n] -= n * bits
     sums, diams = formula_terms_batch(sigma)
+    minimizer_ok = bool((sums[:, 0] < sums[:, 1:].min(axis=1)).all())
     h = bits.sum(axis=1)
     d_lo, d_hi = _bracket(sums, diams)
     scaled = n * h
     ratio_lo = float((d_lo / scaled).min())
     ratio_hi = float((d_hi / scaled).max())
-    minimizer_ok = bool((sums[:, 0] < sums[:, 1:].min(axis=1)).all())
 
     exact_checked = degree <= 7
     sandwich_ok = None
@@ -384,6 +385,9 @@ def drift_walk(
     if proxy == "formula":  # per walker: its row and the next, its draws and proxy values; and the kernel
         check_memory(trials * (16 * n + 64) + _formula_batch_bytes(trials, n),
                      f"the formula drift walk of {trials:,} walkers on Sym_{n}")
+    else:  # the table; per walker: inverse row, column moves, moved row, rank, draws, (3, m) rank deltas, values
+        check_memory(factorial(n) + trials * (24 * n + 96),
+                     f"the BFS drift walk of {trials:,} walkers on Sym_{n}")
     table = bfs_distances(n) if proxy == "bfs" else None
     rng = np.random.default_rng(seed)
     states = np.tile(np.arange(n, dtype=np.int64), (trials, 1))  # one-line rows, or inverse rows for "bfs"

@@ -144,6 +144,8 @@ def cmd_synth(args) -> int:
     if args.check:
         if eval_word(cert.word) != p:
             raise PropertyViolation("synthesized word does not evaluate to its target")
+        if cert.length > cert.certified_bound:
+            raise PropertyViolation(f"word of length {cert.length} exceeds its certified bound {cert.certified_bound}")
         out["eval_ok"] = True
         try:
             floor = bfs_distances(p.n)[p]
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("synth", help="certified generator word for a permutation")
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--perm", required=True)
-    sub.add_argument("--check", action="store_true", help="verify evaluation and the BFS floor when feasible")
+    sub.add_argument("--check", action="store_true", help="verify evaluation, bound, and the BFS floor when feasible")
     _add_out(sub)
     sub.set_defaults(func=cmd_synth)
 

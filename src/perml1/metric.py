@@ -36,8 +36,7 @@ MEMORY_BUDGET = 1 << 30
 _MAX_LEVEL = np.iinfo(np.int8).max
 
 # Byte budget for the largest temporaries of formula_terms_batch, those of one
-# block of heavy (row, shift) entries (_heavy_block's `entry` bytes each): it
-# stays a few MB at any degree.
+# block of rows (_row_block's `row` bytes each): it stays a few MB at any degree.
 _FORMULA_BLOCK_BYTES = 1 << 23
 
 
@@ -210,7 +209,9 @@ def formula_length(p: Permutation) -> FormulaBreakdown:
     histogram.  The diameter is n // 2 for every light shift (the lemma in
     formula_terms_batch), and for the at most two heavy ones the antipodal
     search of that kernel: the largest near(x) - x over the members x, with
-    near(x) the last member at or before x + n // 2 on the doubled ring.
+    near(x) the last member at or before x + n // 2 on the doubled ring.  It
+    stays beside the kernel, whose budget for even one row, about 24n^2 bytes,
+    passes MEMORY_BUDGET above n ~ 6,700, and which is slower per single row.
     """
     n, half = p.n, p.n // 2
     hist = [0] * n
@@ -238,22 +239,21 @@ def formula_distance(p: Permutation, q: Permutation) -> FormulaBreakdown:
     return formula_length(compose(q, inverse(p)))
 
 
-def _heavy_block(n: int, chunk: int) -> tuple[int, int]:
-    """Heavy entries per block, and an entry's bytes at most: its displacement
-    row and member bits (9 a position), or the bits and the doubled ring (3)
-    with, per member (at most n // 2 + 2 of them), 6 live int64 values."""
-    entry = 11 * n + 48 * min(n, n // 2 + 2) + 64
-    return max(1, min(chunk, _FORMULA_BLOCK_BYTES // entry)), entry
+def _row_block(n: int, chunk: int) -> tuple[int, int]:
+    """Rows per block of formula_terms_batch, and a row's bytes at most: 4 int64
+    cells a position, and two heavy entries, each its displacement row and member
+    bits (9 a position), or the bits and the doubled ring (3) with, per member
+    (at most n // 2 + 2 of them), 6 live int64 values."""
+    row = 32 * n + 2 * (11 * n + 48 * min(n, n // 2 + 2) + 64)
+    return max(1, min(chunk, _FORMULA_BLOCK_BYTES // row)), row
 
 
 def _formula_batch_bytes(m: int, n: int, chunk: int = 1024) -> int:
-    """Bytes formula_terms_batch holds at its peak for m int64 rows: per cell,
-    the displacements, histogram, its float cast and product (later the sums,
-    a doubled histogram and the diameters), and the product's BLAS-packed
-    copy, which stays resident; the circulant, its float cast and packed
-    copy; two indices per heavy entry (at most 2 per row); and one block."""
-    block, entry = _heavy_block(n, chunk)
-    return 8 * (5 * m * n + 3 * n * n + 4 * m) + min(2 * m, block) * entry
+    """Bytes formula_terms_batch holds at its peak for m rows: the two int64
+    outputs; the circulant, its float cast and BLAS-packed copy, which stays
+    resident; and one block of rows."""
+    block, row = _row_block(n, chunk)
+    return 8 * (2 * m * n + 3 * n * n) + min(m, block) * row
 
 
 def formula_terms_batch(perms: np.ndarray, chunk: int = 1024) -> tuple[np.ndarray, np.ndarray]:
@@ -284,26 +284,26 @@ def formula_terms_batch(perms: np.ndarray, chunk: int = 1024) -> tuple[np.ndarra
       x + h < 2n (x qualifies) on the ring of members j and j + n.  A block's
       rings are sorted keys 2n e + j: one np.searchsorted finds every near(x).
 
-    Heavy entries are searched in blocks of at most `chunk`, fewer where a
-    block's temporaries would exceed _FORMULA_BLOCK_BYTES.
+    Rows are scored in blocks of at most `chunk`, fewer where a block's
+    temporaries would exceed _FORMULA_BLOCK_BYTES, straight into the outputs.
+    The float64 products and sums are of integers below 2**53, so they are
+    exact whatever the block size.
     """
-    perms = np.asarray(perms, dtype=np.int64)
+    perms = np.asarray(perms)
     m, n = perms.shape
     pos = np.arange(n)
-    disp = perms - pos
-    np.add(disp, n, out=disp, where=disp < 0)
     dist0 = np.minimum(pos, n - pos)
-    circulant = dist0[(pos[:, None] + pos[None, :]) % n]
-    hist = np.bincount((np.arange(m)[:, None] * n + disp).ravel(), minlength=m * n).reshape(m, n)
-    # float64 products and sums of integers below 2**53 are exact, and use BLAS
-    sums = (hist.astype(np.float64) @ circulant).astype(np.int64)
-
-    rows, matched = np.nonzero(2 * hist >= n)  # the heavy entries, by row and displacement
-    del hist
+    circulant = dist0[(pos[:, None] + pos[None, :]) % n].astype(np.float64)
+    sums = np.empty((m, n), dtype=np.int64)
     diams = np.full((m, n), n // 2, dtype=np.int64)
-    block, _ = _heavy_block(n, chunk)
-    for lo in range(0, len(rows), block):
-        r, d = rows[lo:lo + block], matched[lo:lo + block]
+    block, _ = _row_block(n, chunk)
+    for lo in range(0, m, block):
+        disp = perms[lo:lo + block] - pos
+        np.add(disp, n, out=disp, where=disp < 0)
+        hist = np.bincount((np.arange(len(disp))[:, None] * n + disp).ravel(), minlength=disp.size).reshape(disp.shape)
+        sums[lo:lo + block] = hist.astype(np.float64) @ circulant  # BLAS
+        r, d = np.nonzero(hist >= n - n // 2)  # the heavy entries (2 hist >= n), by row and displacement
+        del hist
         l = -d % n
         bits = disp[r] != d[:, None]
         bits[:, 0] = bits[np.arange(len(r)), l] = True
@@ -313,5 +313,5 @@ def formula_terms_batch(perms: np.ndarray, chunk: int = 1024) -> tuple[np.ndarra
         x += 2 * n * entry  # each member's key on the first half of its ring
         del bits, entry
         near = ring[np.searchsorted(ring, x + n // 2, side="right") - 1]
-        diams[r, l] = np.maximum.reduceat(near - x, starts)
+        diams[lo + r, l] = np.maximum.reduceat(near - x, starts)
     return sums, diams

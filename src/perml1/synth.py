@@ -4,8 +4,8 @@ Transpositions are built by conjugating t along the circle, taking whichever
 of the two rotation directions is shorter; cycles telescope their
 transposition chains so adjacent conjugation powers merge; a full permutation
 is rebased by the best shift, split into disjoint cycles, and emitted along a
-pointer sweep of the support.  Every emitted word is checked against a length
-certificate derived from the shift formula.
+pointer sweep of the support.  Every emitted word carries a length certificate
+from the shift formula, which `perml1 synth --check` verifies.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from perml1 import audits
+from perml1 import audits, metric
 from perml1.audits import (
     CubeAuditReport,
     DistortionReport,
@@ -301,7 +301,23 @@ class TestMemoryBudget:
         peak, largest = traced_peak_and_largest_check(lambda: drift_walk(40, 5, 2000, seed=1))
         assert peak <= largest
 
-    @pytest.mark.parametrize("n", [7, 8])
+    def test_bfs_drift_walk(self, traced_peak_and_largest_check):
+        peak, largest = traced_peak_and_largest_check(lambda: drift_walk(8, 5, 20000, seed=1, proxy="bfs"))
+        assert peak <= largest
+
+    @pytest.mark.parametrize("proxy", ["formula", "bfs"])
+    def test_drift_walkers_are_checked(self, proxy, monkeypatch):
+        monkeypatch.setattr(metric, "MEMORY_BUDGET", 200_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="drift walk of 20,000 walkers on Sym_5 needs"):
+                drift_walk(5, 3, 20_000, proxy=proxy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000  # refused before the walkers exist
+
+    @pytest.mark.parametrize("n", [7, 8, pytest.param(15, marks=pytest.mark.slow)])  # 15: exhaustive at degree 900
     def test_cube_audit(self, n, traced_peak_and_largest_check):
         peak, largest = traced_peak_and_largest_check(lambda: cube_audit(n))
         assert peak <= largest
@@ -309,7 +325,8 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("call, what", [
         (lambda: distortion_audit(1000, mode="envelope"), "envelope audit of 20,000 pairs in Sym_1000 needs"),
         (lambda: drift_walk(100, 1, 10 ** 6), "formula drift walk of 1,000,000 walkers on Sym_100 needs"),
-    ], ids=["envelope", "drift"])
+        (lambda: cube_audit(16), "cube audit of 65,535 vectors at degree 1024 needs"),
+    ], ids=["envelope", "drift", "cube"])
     def test_refused_before_allocating(self, call, what):
         tracemalloc.start()
         try:
@@ -378,9 +395,9 @@ class TestCubeAudit:
         assert report.minimizer_at_zero
 
     def test_guard_without_sampling(self):
-        # 2^15 - 1 vectors at degree 900 exceed the budget; 2^9 - 1 at degree 324 run exhaustively
-        with pytest.raises(ResourceLimitError, match="cube audit of 32,767 vectors at degree 900 needs"):
-            cube_audit(15)
+        # 2^16 - 1 vectors at degree 1024 exceed the budget; 2^9 - 1 at degree 324 run exhaustively
+        with pytest.raises(ResourceLimitError, match="cube audit of 65,535 vectors at degree 1024 needs"):
+            cube_audit(16)
         report = cube_audit(9)
         assert report.pairs_checked == 2 ** 9 * (2 ** 9 - 1)
         assert report.minimizer_at_zero

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,9 +9,10 @@ import shlex
 import numpy as np
 import pytest
 
-from perml1 import metric
+from perml1 import cli, metric
 from perml1.cli import _csv_lines, main
-from perml1.perms import all_permutations
+from perml1.perms import GeneratorWord, all_permutations
+from perml1.synth import synthesize
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_distortion.json"
 
@@ -125,6 +127,17 @@ class TestSynth:
         assert code == 0 and data["eval_ok"] is True
         assert isinstance(data["bfs_distance"], int)
         assert data["bfs_distance"] <= data["length"]
+
+    def test_check_rejects_a_word_over_its_bound(self, capsys, monkeypatch):
+        def padded(p):  # the same element, with tt appended past the certified bound
+            cert = synthesize(p)
+            word = GeneratorWord(p.n, cert.word.letters + ("t", "t") * cert.certified_bound)
+            return dataclasses.replace(cert, word=word)
+
+        monkeypatch.setattr(cli, "synthesize", padded)
+        code, out, err = run_cli(capsys, "synth", "--perm", "1,2,0", "--check")
+        assert code == 2 and out == "" and "exceeds its certified bound" in err
+        assert run_cli(capsys, "synth", "--perm", "1,2,0")[0] == 0  # without --check the word is not verified
 
     def test_without_check(self, capsys):
         code, out, _ = run_cli(capsys, "synth", "--perm", "1,0,3,2")

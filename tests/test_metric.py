@@ -503,10 +503,10 @@ class TestBatch:
         assert np.diagonal(formula_terms_batch(rotations)[1]).tolist() == [min(l, n - l) for l in range(n)]
 
     def test_budget_covers_cube_rows(self):
-        # cube_audit(12)'s rows: degree 576 and 4,095 heavy entries, searched in several blocks
+        # cube_audit(12)'s rows: degree 576 and 4,095 heavy entries, in several row blocks
         rows = cube_rows(12)
         m, n = rows.shape
-        assert heavy_shifts(rows).sum() == 4095 > metric._heavy_block(n, 1024)[0]
+        assert heavy_shifts(rows).sum() == m == 4095 > metric._row_block(n, 1024)[0]
         tracemalloc.start()
         try:
             formula_terms_batch(rows)
@@ -516,15 +516,15 @@ class TestBatch:
         assert peak <= metric._formula_batch_bytes(m, n)
 
     def test_blocking_does_not_change_result(self, perm_arrays, monkeypatch):
-        # blocks split the heavy entries, so the rows must hold more than one block of them
+        # blocks split the rows, so the rows and their heavy entries must span more than one block
         for rows in (perm_arrays[5], heavy_families(70)[::7]):
-            assert heavy_shifts(rows).sum() > 4
+            assert len(rows) > 4 and heavy_shifts(rows).sum() > 4
             default = formula_terms_batch(rows)
             for chunk in (1, 4):
                 sums, diams = formula_terms_batch(rows, chunk=chunk)
                 assert (sums == default[0]).all() and (diams == default[1]).all()
             with monkeypatch.context() as patch:
-                patch.setattr(metric, "_FORMULA_BLOCK_BYTES", 1)  # one heavy entry per block
+                patch.setattr(metric, "_FORMULA_BLOCK_BYTES", 1)  # one row per block
                 sums, diams = formula_terms_batch(rows)
             assert (sums == default[0]).all() and (diams == default[1]).all()
 
