@@ -10,8 +10,9 @@ BFS oracle, decoding ranges of consecutive Lehmer ranks with unrank_rows;
 the sweep stands for all n!(n!-1) ordered pairs.  Envelope
 mode, for degrees with infeasible BFS, brackets the true distance by
 [F/3, min(6*sum+2*diam)] and reports a certificate that overestimates the
-distortion by at most the width (factor 18) of that bracket.  hamming_embed
-is the scalar reference for the rows the cube audit builds in one array step.
+distortion by at most the width (factor 18) of that bracket.  The cube audit
+scores one row per (weight, top bit) class of bit vectors, which stands for the
+whole class; hamming_embed is the scalar reference for every vector's row.
 """
 
 from __future__ import annotations
@@ -257,57 +258,54 @@ class CubeAuditReport:
     minimizer_at_zero: bool
     exact_checked: bool
     exact_sandwich_ok: Optional[bool]
-    seed: Optional[int]
     wall_time_ms: float
 
     def to_json_dict(self) -> dict:
         return {"version": __version__, **asdict(self)}
 
 
-def cube_audit(
-    n: int,
-    sample_size: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> CubeAuditReport:
+def cube_audit(n: int) -> CubeAuditReport:
     """Audit the bit-vector embedding against the formula bracket.
 
     h(e)^-1 h(d) = h(e xor d), so each pair is scored as the single vector
-    x = e xor d: the exhaustive audit runs the 2^n - 1 nonzero x, each
-    standing for the 2^n ordered pairs (e, e xor x).  Checks
-    h/..-proportional bounds via d_lo = F/3 and d_hi = min(6s+2d), verifies
-    the displacement sum is uniquely minimized at shift 0 on every pair, and
-    (when the degree is BFS-feasible) compares with exact distances.  Its
-    arrays are checked against MEMORY_BUDGET first: exhaustive runs reach
-    n = 15, and n = 16 raises ResourceLimitError unless sampled.
+    x = e xor d != 0, which stands for the 2^n ordered pairs (e, e xor x).
+    Lemma: x's terms depend only on its weight h and its highest set bit i,
+    so one row per class (bit i and bits 0..h-2, for 1 <= h <= i + 1 <= n)
+    stands for every vector.  Let N = 4n^2 and |a| the ring distance of a
+    to 0.  x's row moves each set bit j by +n and its partner n + j by -n:
+    the displacement histogram is {0: N - 2h, +-n: h}, so
+    sum(l) = (N - 2h)|l| + h(|l + n| + |l - n|).  As h <= n <= N/4, only
+    shift 0 matches N/2 or more positions, so every other diameter is N/2;
+    shift 0's members, 0 and the 2h moved positions, lie in [0, 2n), within
+    half the ring, so diam_0 = n + i.  sum(0) = 2hn, and for l != 0,
+    sum(l) >= N - 2h + 2hn, as |l + n| + |l - n| >= 2n: shift 0 is the
+    unique minimizer of the sum.  With sum(l) >= N - 2h alone, it also
+    minimizes sum + diam and 3 sum + diam, by at least (2n - 1)^2 and
+    8n^2 - 8n + 1 (h <= n, i < n).  So F = 2hn + n + i and
+    min(6 sum + 2 diam) = 12hn + 2n + 2i.  Over the classes, d_hi / (nh) is
+    largest at h = 1, i = n - 1: ratio_hi = 16 - 2/n; and d_lo / (nh), with
+    i >= h - 1, is least at h = n: ratio_lo = (2n^2 + 2n - 1) / (3n^2).
+
+    The audit scores the class rows with the kernel, checks the minimizer on
+    each, and (when the degree is BFS-feasible) compares with exact distances.
+    Its arrays are checked against MEMORY_BUDGET first: n = 39 runs, and
+    n = 40 raises ResourceLimitError.
     """
     start = time.perf_counter()
     if n < 1:
         raise ValueError(f"cube dimension must be >= 1, got {n}")
-    if sample_size is not None and sample_size < 1:
-        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
-    degree = 4 * n * n
-    rows = 2 ** n - 1 if sample_size is None else sample_size
+    degree, rows = 4 * n * n, n * (n + 1) // 2
     # the bits and sigma live through the kernel, and the bracket reduces its outputs in place
     check_memory(8 * rows * (n + degree) + _formula_batch_bytes(rows, degree),
-                 f"the cube audit of {rows:,} vectors at degree {degree}")
-    if sample_size is None:  # the nonzero vectors in itertools.product order, first bit highest
-        bits = np.arange(1, 2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1
-        pairs = 2 ** n * rows
-    else:
-        rng = np.random.default_rng(seed)
-        diffs = []
-        while len(diffs) < sample_size:
-            x = rng.integers(0, 2, n) ^ rng.integers(0, 2, n)  # e xor d of a drawn pair (e, d)
-            if x.any():
-                diffs.append(x)
-        bits, pairs = np.array(diffs), sample_size
-
+                 f"the cube audit of {rows:,} classes at degree {degree}")
+    top, low = np.nonzero(np.tri(n, dtype=bool))  # each class's i and h - 1
+    bits = (np.arange(n) < low[:, None]) | (np.arange(n) == top[:, None])
     sigma = np.tile(np.arange(degree), (rows, 1))  # hamming_embed: swap columns i and n + i where bit i is set
     sigma[:, :n] += n * bits
     sigma[:, n:2 * n] -= n * bits
     sums, diams = formula_terms_batch(sigma)
     minimizer_ok = bool((sums[:, 0] < sums[:, 1:].min(axis=1)).all())
-    h = bits.sum(axis=1)
+    h = low + 1
     d_lo, d_hi = _bracket(sums, diams)
     scaled = n * h
     ratio_lo = float((d_lo / scaled).min())
@@ -324,8 +322,8 @@ def cube_audit(
         )
 
     return CubeAuditReport(
-        n, degree, pairs, ratio_lo, ratio_hi, ratio_hi / ratio_lo,
-        minimizer_ok, exact_checked, sandwich_ok, seed,
+        n, degree, 2 ** n * (2 ** n - 1), ratio_lo, ratio_hi, ratio_hi / ratio_lo,
+        minimizer_ok, exact_checked, sandwich_ok,
         _elapsed_ms(start),
     )
 

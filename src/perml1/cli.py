@@ -201,7 +201,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_cube(args) -> int:
-    report = cube_audit(args.n, sample_size=args.sample_size, seed=args.seed)
+    report = cube_audit(args.n)
     _write(_json_text(report.to_json_dict()), args.out)
     if not report.minimizer_at_zero:
         raise PropertyViolation("displacement sum not uniquely minimized at shift 0")
@@ -273,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("cube", help="bit-vector embedding audit")
     sub.add_argument("--n", type=int, required=True, help="cube dimension; group degree is 4n^2")
-    sub.add_argument("--sample-size", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
     _add_out(sub)
     sub.set_defaults(func=cmd_cube)
 

@@ -95,10 +95,13 @@ def term_minima():
 
 @pytest.fixture
 def traced_peak_and_largest_check(monkeypatch):
-    """Run a callable; return the tracemalloc peak of its numpy buffers and the
-    largest byte count it passed to check_memory."""
+    """Run a callable twice, the first time untraced so that one-time lazy
+    imports and caches stay out; return the tracemalloc peak of every Python
+    allocation in the second run and the largest byte count it passed to
+    check_memory."""
 
     def run(call):
+        call()
         checked = []
         check = metric.check_memory
         record = lambda nbytes, what: checked.append(nbytes) or check(nbytes, what)  # noqa: E731

@@ -46,20 +46,10 @@ def reference_sampled_exact(n, sample_size, seed):
                                    sample_size, seed, 0.0))
 
 
-def reference_cube(n, sample_size=None, seed=None):
-    """The cube audit with one hamming_embed permutation per vector, the
-    vectors from itertools.product or from the same rejection draws."""
-    if sample_size is None:
-        diffs = [v for v in itertools.product((0, 1), repeat=n) if any(v)]
-        pairs = 2 ** n * len(diffs)
-    else:
-        rng = np.random.default_rng(seed)
-        diffs = []
-        while len(diffs) < sample_size:
-            e, d = rng.integers(0, 2, n), rng.integers(0, 2, n)
-            if (e != d).any():
-                diffs.append(tuple((e ^ d).tolist()))
-        pairs = sample_size
+def reference_cube(n):
+    """The cube audit with one hamming_embed permutation per nonzero vector,
+    the vectors in itertools.product order."""
+    diffs = [v for v in itertools.product((0, 1), repeat=n) if any(v)]
     degree = 4 * n * n
     sigma = np.array([hamming_embed(n, x).images for x in diffs], dtype=np.int64)
     sums, diams = formula_terms_batch(sigma)
@@ -72,8 +62,8 @@ def reference_cube(n, sample_size=None, seed=None):
         sandwich = bool(((d_lo <= d + 1e-12) & (d <= d_hi + 1e-12)).all()
                         and ((h / 3.0 <= d + 1e-12) & (d <= 11 * h + 1e-12)).all())
     minimizer = bool((sums[:, 0] < sums[:, 1:].min(axis=1)).all())
-    return masked(CubeAuditReport(n, degree, pairs, ratio_lo, ratio_hi, ratio_hi / ratio_lo, minimizer,
-                                  degree <= 7, sandwich, seed, 0.0))
+    return masked(CubeAuditReport(n, degree, 2 ** n * len(diffs), ratio_lo, ratio_hi, ratio_hi / ratio_lo, minimizer,
+                                  degree <= 7, sandwich, 0.0))
 
 
 class TestDistortionExact:
@@ -317,7 +307,7 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert peak < 200_000  # refused before the walkers exist
 
-    @pytest.mark.parametrize("n", [7, 8, pytest.param(15, marks=pytest.mark.slow)])  # 15: exhaustive at degree 900
+    @pytest.mark.parametrize("n", [7, 8, 20, pytest.param(39, marks=pytest.mark.slow)])  # 39: 780 classes at degree 6084
     def test_cube_audit(self, n, traced_peak_and_largest_check):
         peak, largest = traced_peak_and_largest_check(lambda: cube_audit(n))
         assert peak <= largest
@@ -325,7 +315,7 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("call, what", [
         (lambda: distortion_audit(1000, mode="envelope"), "envelope audit of 20,000 pairs in Sym_1000 needs"),
         (lambda: drift_walk(100, 1, 10 ** 6), "formula drift walk of 1,000,000 walkers on Sym_100 needs"),
-        (lambda: cube_audit(16), "cube audit of 65,535 vectors at degree 1024 needs"),
+        (lambda: cube_audit(40), "cube audit of 820 classes at degree 6400 needs"),
     ], ids=["envelope", "drift", "cube"])
     def test_refused_before_allocating(self, call, what):
         tracemalloc.start()
@@ -383,11 +373,6 @@ class TestCubeAudit:
         assert report.ratio_lo <= report.ratio_hi
         assert report.certificate <= 600
 
-    def test_sampled(self):
-        report = cube_audit(4, sample_size=60, seed=2)
-        assert report.pairs_checked == 60
-        assert report.minimizer_at_zero
-
     def test_exhaustive_at_degree_196(self):
         report = cube_audit(7)
         assert report.degree == 196
@@ -395,23 +380,30 @@ class TestCubeAudit:
         assert report.minimizer_at_zero
 
     def test_guard_without_sampling(self):
-        # 2^16 - 1 vectors at degree 1024 exceed the budget; 2^9 - 1 at degree 324 run exhaustively
-        with pytest.raises(ResourceLimitError, match="cube audit of 65,535 vectors at degree 1024 needs"):
-            cube_audit(16)
-        report = cube_audit(9)
-        assert report.pairs_checked == 2 ** 9 * (2 ** 9 - 1)
-        assert report.minimizer_at_zero
+        # 820 classes at degree 6400 exceed the budget; the 16- and 20-cubes, past the 2^n vectors' reach, run
+        with pytest.raises(ResourceLimitError, match="cube audit of 820 classes at degree 6400 needs"):
+            cube_audit(40)
+        for n in (16, 20):
+            report = cube_audit(n)
+            assert report.pairs_checked == 2 ** n * (2 ** n - 1)
+            assert report.minimizer_at_zero
 
     def test_validation(self):
         with pytest.raises(ValueError, match="dimension"):
             cube_audit(0)
-        with pytest.raises(ValueError, match="sample_size"):
-            cube_audit(2, sample_size=0)
 
-    @pytest.mark.parametrize("n, sample_size, seed", [(n, None, None) for n in range(1, 9)]
-                             + [(4, 60, 2), (6, 500, 3), (12, 300, 4)])
-    def test_matches_hamming_embed_reference(self, n, sample_size, seed):
-        assert masked(cube_audit(n, sample_size, seed)) == reference_cube(n, sample_size, seed)
+    # n = 1..8 keep their ids from the earlier (n, sample_size, seed) parametrization
+    @pytest.mark.parametrize("n", [pytest.param(n, id=f"{n}-None-None") for n in range(1, 9)] + [*range(9, 14)])
+    def test_matches_hamming_embed_reference(self, n):
+        assert masked(cube_audit(n)) == reference_cube(n)
+
+    @pytest.mark.parametrize("n", [*range(1, 25), 32])
+    def test_laws(self, n):
+        # the closed forms of the cube_audit docstring, as the float steps the audit takes:
+        # (2n^2 + 2n - 1) / (3n^2) as one division differs in the last bit at n = 5, 6, 18, 21 and 24
+        report = cube_audit(n)
+        assert report.ratio_hi == (16 * n - 2) / n
+        assert report.ratio_lo == (2 * n * n + 2 * n - 1) / 3.0 / (n * n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_xor_collapse_matches_pair_enumeration(self, n):

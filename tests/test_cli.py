@@ -299,6 +299,10 @@ class TestCube:
         code, _, err = run_cli(capsys, "cube", "--n", "0")
         assert code == 1 and "cube dimension must be >= 1" in err
 
+    def test_sample_size_is_not_an_option(self, capsys):
+        code, _, err = run_cli(capsys, "cube", "--n", "2", "--sample-size", "5")
+        assert code == 1 and "unrecognized arguments: --sample-size 5" in err
+
 
 class TestDrift:
     def test_json_series(self, capsys):

@@ -124,7 +124,7 @@ def wrap_families(n, seed=0):
 
 
 def cube_rows(n):
-    """cube_audit(n)'s rows: hamming_embed of every nonzero bit vector, at degree 4n^2."""
+    """hamming_embed of every nonzero bit vector of the n-cube, at degree 4n^2."""
     degree = 4 * n * n
     bits = np.arange(1, 2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1
     rows = np.tile(np.arange(degree), (len(bits), 1))
@@ -503,7 +503,7 @@ class TestBatch:
         assert np.diagonal(formula_terms_batch(rotations)[1]).tolist() == [min(l, n - l) for l in range(n)]
 
     def test_budget_covers_cube_rows(self):
-        # cube_audit(12)'s rows: degree 576 and 4,095 heavy entries, in several row blocks
+        # the nonzero vectors of the 12-cube: degree 576 and 4,095 heavy entries, in several row blocks
         rows = cube_rows(12)
         m, n = rows.shape
         assert heavy_shifts(rows).sum() == m == 4095 > metric._row_block(n, 1024)[0]
