@@ -37,11 +37,11 @@ from .embed import (
 )
 from .metric import (
     _formula_batch_bytes,
-    _generators,
     _rank_deltas,
     bfs_distances,
     check_memory,
     formula_terms_batch,
+    generator_neighbors_rows,
     rank_rows,
 )
 from .perms import Permutation, _block_degree, unrank_rows
@@ -369,8 +369,12 @@ def drift_walk(
 
     The distance proxy per step is either the exact BFS length or F/3, the
     lower edge of the formula's 3-approximation bracket.  The BFS proxy
-    carries each walker as an inverse row with its Lehmer rank and moves it
-    as the BFS does, so no state is ranked from scratch.
+    moves each walker's Lehmer rank by _rank_deltas, as the BFS does, so no
+    state is ranked from scratch.  A walker is an unrotated int8 row q and
+    an offset r, its inverse row being j -> q[(j + r) mod n].  Since
+    (g p)^-1 = p^-1 g^-1, c and c^-1 move only r (to r - 1 and r + 1), t
+    swaps q[r] and q[r + 1], and the deltas read the positions of 0, 1 and
+    n - 1: q[r], q[r + 1] and q[r - 1].  So a step costs O(1) per walker.
     """
     if proxy not in ("formula", "bfs"):
         raise ValueError(f"unknown proxy {proxy!r}")
@@ -383,21 +387,32 @@ def drift_walk(
     if proxy == "formula":  # per walker: its row and the next, its draws and proxy values; and the kernel
         check_memory(trials * (16 * n + 64) + _formula_batch_bytes(trials, n),
                      f"the formula drift walk of {trials:,} walkers on Sym_{n}")
-    else:  # the table; per walker: inverse row, column moves, moved row, rank, draws, (3, m) rank deltas, values
-        check_memory(factorial(n) + trials * (24 * n + 96),
+    else:  # the table; per walker: int8 row, offset, row start, rank, delta pick (n + 32), draws and flat
+        # indices (24), the (3, m) rank deltas as stacked (48), and the step's other temporaries (16)
+        check_memory(factorial(n) + trials * (n + 120),
                      f"the BFS drift walk of {trials:,} walkers on Sym_{n}")
     table = bfs_distances(n) if proxy == "bfs" else None
     rng = np.random.default_rng(seed)
-    states = np.tile(np.arange(n, dtype=np.int64), (trials, 1))  # one-line rows, or inverse rows for "bfs"
-    ranks = np.zeros(trials, dtype=np.int64)
     steps = [DriftStep(0, 0.0, 0.0)]
-    gens, moves = _generators(n)
     letters = np.array([0, 0, 1, 2] if four_step else [0, 1, 2])  # t, c, c^-1
+    if proxy == "bfs":
+        q = np.tile(np.arange(n, dtype=np.int8), trials)  # the walkers' rows, end to end
+        row, pick = np.arange(0, n * trials, n), np.arange(trials)  # pick + trials * g: a walker's delta
+        r, ranks = np.zeros(trials, dtype=np.intp), np.zeros(trials, dtype=np.int64)
+        ahead, behind = np.roll(np.arange(n), -1), np.roll(np.arange(n), 1)
+        moved = np.concatenate([np.arange(n), behind, ahead])  # at n * g + r: the offset after t, c, c^-1
+    else:  # one-line rows, moved by the images of t, c and c^-1
+        states = np.tile(np.arange(n, dtype=np.int64), (trials, 1))
+        gens = np.concatenate(generator_neighbors_rows(np.arange(n)[None, :]))
     for t in range(1, horizon + 1):
         g = letters[rng.integers(0, len(letters), trials)]
         if proxy == "bfs":
-            ranks += _rank_deltas(n, states[:, 0], states[:, 1], states[:, -1])[g, np.arange(trials)]
-            states = np.take_along_axis(states, moves[g], axis=1)
+            at, nxt = row + r, row + ahead[r]
+            zero, one = q[at], q[nxt]
+            ranks += _rank_deltas(n, zero, one, q[row + behind[r]]).ravel().take(pick + trials * g)
+            swap = g == 0
+            q[at], q[nxt] = np.where(swap, one, zero), np.where(swap, zero, one)
+            r = moved.take(n * g + r)
             values = table.dist[ranks].astype(np.float64)
         else:
             states = gens[g[:, None], states]  # left multiplication: g(p(k))

@@ -12,11 +12,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from math import factorial
-from operator import mul
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .perms import Permutation, _block_degree, compose, inverse, perm_rank, unrank_rows
 
@@ -119,13 +120,6 @@ def _rank_deltas(n: int, zero: np.ndarray, one: np.ndarray, top: np.ndarray) -> 
     return np.stack([swap.take(n * zero.astype(np.int64) + one), up.take(top), -up.take(zero)])
 
 
-def _generators(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Images of t, c and c^-1 (the order of _rank_deltas), and their column
-    moves on inverse rows: (g*p)^-1 = p^-1 g^-1, the images of t, c^-1, c."""
-    gens = np.concatenate(generator_neighbors_rows(np.arange(n)[None, :]))
-    return gens, gens[[0, 2, 1]]
-
-
 def bfs_distances(n: int) -> DistanceTable:
     """Exact shortest-path distances from the identity over all of Sym_n.
 
@@ -134,7 +128,9 @@ def bfs_distances(n: int) -> DistanceTable:
     A block's rows share their first n-k values (the head) and run through
     Sym_k on the rest, so the positions of 0, 1 and n-1 that the O(1) rank
     deltas need (_rank_deltas) come from the head or from Sym_k's rows.
-    Unreached neighbours are written level + 1, duplicates alike.  The table
+    Each neighbour's entry becomes its minimum with level + 1 on the table's
+    uint8 view, where the sentinel -1 reads 255: reached entries (at most
+    level + 1) stay, duplicates write alike, and nothing is compressed.  The table
     and one block are checked against MEMORY_BUDGET once, before the table
     exists: Sym_12 fits; Sym_13 raises ResourceLimitError, as does level 128.
     """
@@ -148,6 +144,7 @@ def bfs_distances(n: int) -> DistanceTable:
                  f"the BFS over Sym_{n}")
     dist = np.full(size, -1, dtype=np.int8)
     dist[0] = 0
+    udist = dist.view(np.uint8)  # -1 reads as 255, above every level
     if n == 1:  # Sym_1 is the identity alone, and t needs two columns
         return DistanceTable(n, dist)
     # cols[j], per row of a block: the position of the head's value at j < h, or of the
@@ -167,7 +164,8 @@ def bfs_distances(n: int) -> DistanceTable:
                 reached += len(rows)
                 deltas = _rank_deltas(n, cols[zero][rows], cols[one][rows], cols[top][rows])
                 candidates = (lo + rows + deltas).ravel()
-                dist[candidates[dist[candidates] == -1]] = level + 1
+                known = udist[candidates]
+                udist[candidates] = np.minimum(known, level + 1, out=known)
         if reached == size:
             return DistanceTable(n, dist)
     if dist.min() < 0:
@@ -201,12 +199,22 @@ class FormulaBreakdown:
 
 def formula_length(p: Permutation) -> FormulaBreakdown:
     """Per-shift terms of one element: the method of formula_terms_batch in
-    Python ints, O(n^2) where a pairwise scan of the mismatch set is O(n^3).
+    Python ints, O(n) plus O(n) per heavy shift, where a pairwise scan of the
+    mismatch set is O(n^3).
 
-    sum(l) = sum_k d(k, p(k)+l) on the n-cycle; the diameter term covers
-    {0, l} together with the points where p differs from the rotation x -> x-l.
-    Here sum(l) = sum_d hist[d] * dist0[(d + l) mod n] over the displacement
-    histogram.  The diameter is n // 2 for every light shift (the lemma in
+    sum(l) = sum_k dist0(d_k + l) over the displacements d_k = p(k) - k, with
+    dist0(x) = min(x mod n, -x mod n); the diameter term covers {0, l} together
+    with the points where p differs from the rotation x -> x-l.  With h = n // 2,
+
+        sum(l + 1) - sum(l) = #{k : (d_k + l) mod n in [0, h)}
+                            - #{k : (d_k + l) mod n in [n - h, n)}.
+
+    Proof: for 0 <= x < n, dist0(x + 1) - dist0(x) is +1 on [0, h), where
+    x + 1 <= h <= n - x - 1; -1 on [n - h, n), where dist0 goes from n - x to
+    n - x - 1; and 0 at x = h between them for odd n = 2h + 1, as h = n - h - 1.
+    Both counts are differences of prefix sums of the doubled histogram.
+
+    The diameter is n // 2 for every light shift (the lemma in
     formula_terms_batch), and for the at most two heavy ones the antipodal
     search of that kernel: the largest near(x) - x over the members x, with
     near(x) the last member at or before x + n // 2 on the doubled ring.  It
@@ -217,16 +225,18 @@ def formula_length(p: Permutation) -> FormulaBreakdown:
     hist = [0] * n
     for q, image in enumerate(p.images):
         hist[(image - q) % n] += 1
-    dist0 = [min(d, n - d) for d in range(n)] * 2  # doubled: column l is dist0[l:l + n]
+    below = list(accumulate(hist * 2, initial=0))  # below[i]: the doubled ring's entries before i
+    s = sum(count * min(d, n - d) for d, count in enumerate(hist))
     terms = []
     for l in range(n):
-        s = sum(map(mul, hist, dist0[l:l + n]))
         diam = half  # the diameter of every light shift
         if 2 * hist[-l % n] >= n:  # a heavy shift: l matches at least n/2 positions
             members = [q for q, image in enumerate(p.images) if q in (0, l) or (image - q + l) % n]
             ring = members + [q + n for q in members]
             diam = max(ring[bisect_right(ring, q + half) - 1] - q for q in members)
         terms.append(ShiftTerms(l, s, diam))
+        # on the doubled ring, (d_k + l) mod n is in [0, h) at [n - l, n + h - l), in [n - h, n) at [2n - h - l, 2n - l)
+        s += below[n + half - l] - below[n - l] - below[2 * n - l] + below[2 * n - half - l]
     value = min(t.sum + t.diam for t in terms)
     l_star = next(t.l for t in terms if t.sum + t.diam == value)
     return FormulaBreakdown(n, tuple(terms), l_star, value)
@@ -293,7 +303,8 @@ def formula_terms_batch(perms: np.ndarray, chunk: int = 1024) -> tuple[np.ndarra
     m, n = perms.shape
     pos = np.arange(n)
     dist0 = np.minimum(pos, n - pos)
-    circulant = dist0[(pos[:, None] + pos[None, :]) % n].astype(np.float64)
+    ring = np.concatenate([dist0, dist0]).astype(np.float64)
+    circulant = sliding_window_view(ring, n)[:n].copy()  # C[d, l] = ring[d + l]
     sums = np.empty((m, n), dtype=np.int64)
     diams = np.full((m, n), n // 2, dtype=np.int64)
     block, _ = _row_block(n, chunk)

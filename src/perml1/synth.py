@@ -21,7 +21,6 @@ from .perms import (
     Permutation,
     T,
     _INVERSE_LETTER,
-    compose,
     cycle_decompose,
     cycle_dist,
 )
@@ -55,6 +54,17 @@ def free_reduce(letters: Sequence[str]) -> list[str]:
         else:
             stack.append(g)
     return stack
+
+
+def _join(word: list[str], piece: Sequence[str]) -> list[str]:
+    """free_reduce(word + piece) for reduced word and piece, in place: free
+    reduction in Z/2 * Z is unique, so only the seam can cancel."""
+    cut = 0
+    while cut < len(piece) and word and word[-1] == _INVERSE_LETTER[piece[cut]]:
+        word.pop()
+        cut += 1
+    word += piece[cut:]
+    return word
 
 
 def rotation_word(n: int, shift: int) -> list[str]:
@@ -92,22 +102,22 @@ def word_transposition(n: int, k: int, m: int) -> GeneratorWord:
     m %= n
     if k == m:
         raise ValueError("transposition endpoints must differ")
-    letters = rotation_word(n, k) + _transposition_letters(n, (m - k) % n) + rotation_word(n, -k)
-    return GeneratorWord(n, tuple(free_reduce(letters)))
+    letters = _join(rotation_word(n, k), _transposition_letters(n, (m - k) % n))
+    return GeneratorWord(n, tuple(_join(letters, rotation_word(n, -k))))
 
 
 def _emit_transposition_stream(n: int, stream: Sequence[tuple[int, int]]) -> tuple[list[str], int]:
     """Letters realizing the left-to-right product of transpositions (a, b).
 
     Each factor is conjugated to base a; adjacent conjugation powers merge
-    into one pointer move.  Returns (letters, final pointer position); the
-    caller closes the frame with a rotation back to 0.
+    into one pointer move.  Returns (reduced letters, final pointer
+    position); the caller closes the frame with a rotation back to 0.
     """
     letters: list[str] = []
     pos = 0
     for a, b in stream:
-        letters += rotation_word(n, a - pos)
-        letters += _transposition_letters(n, (b - a) % n)
+        _join(letters, rotation_word(n, a - pos))
+        _join(letters, _transposition_letters(n, (b - a) % n))
         pos = a
     return letters, pos
 
@@ -124,8 +134,7 @@ def word_cycle(n: int, points: Sequence[int]) -> GeneratorWord:
         raise ValueError(f"repeated points in {points!r}")
     stream = [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
     letters, pos = _emit_transposition_stream(n, stream)
-    letters += rotation_word(n, -pos)
-    return GeneratorWord(n, tuple(free_reduce(letters)))
+    return GeneratorWord(n, tuple(_join(letters, rotation_word(n, -pos))))
 
 
 def _signed_position(n: int, x: int) -> int:
@@ -172,7 +181,7 @@ def synthesize(p: Permutation) -> CertifiedWord:
     l_star = weighted.index(best)
     bound = cycle_dist(n, 0, l_star) + best + n
 
-    rebased = compose(Permutation.rotation(n, l_star), p)
+    rebased = Permutation(n, tuple((x + l_star) % n for x in p.images))  # c^l_star * p
     cycles = cycle_decompose(rebased).cycles
     letters = rotation_word(n, -l_star)
     if cycles:
@@ -191,6 +200,6 @@ def synthesize(p: Permutation) -> CertifiedWord:
             (cyc[i], cyc[i + 1]) for cyc in ordered for i in range(len(cyc) - 1)
         ]
         body, pos = _emit_transposition_stream(n, stream)
-        letters += body + rotation_word(n, -pos)
-    word = GeneratorWord(n, tuple(free_reduce(letters)))
+        _join(_join(letters, body), rotation_word(n, -pos))
+    word = GeneratorWord(n, tuple(letters))
     return CertifiedWord(word, p, bound, l_star)

@@ -502,6 +502,20 @@ class TestBatch:
         rotations = np.array([np.roll(np.arange(n), l) for l in range(n)])  # q -> q - l matches all at shift l
         assert np.diagonal(formula_terms_batch(rotations)[1]).tolist() == [min(l, n - l) for l in range(n)]
 
+    @pytest.mark.parametrize("n", [256, 257, 1000])
+    def test_formula_length_matches_batch_at_high_degree(self, n):
+        # formula_length's O(n) sum steps and heavy-shift search, row by row against the
+        # kernel: random rows, the identity and the reflection, and 12 seeded rotations,
+        # each alone and times 1, 2 and 3 transpositions
+        rng = np.random.default_rng(n)
+        families = heavy_families(n)
+        picked = [0, 1] + [2 + 4 * r + k for r in rng.choice(n, 12, replace=False) for k in range(4)]
+        rows = np.concatenate([[rng.permutation(n) for _ in range(6)], families[picked]])
+        sums, diams = formula_terms_batch(rows)
+        for row, row_sums, row_diams in zip(rows, sums, diams):
+            terms = formula_length(Permutation(n, tuple(int(x) for x in row))).per_shift
+            assert terms == tuple(zip(range(n), row_sums.tolist(), row_diams.tolist()))
+
     def test_budget_covers_cube_rows(self):
         # the nonzero vectors of the 12-cube: degree 576 and 4,095 heavy entries, in several row blocks
         rows = cube_rows(12)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import seeded_elements, tau
 
+from perml1 import synth
 from perml1.metric import formula_length
 from perml1.perms import (
     GeneratorWord,
@@ -176,6 +177,26 @@ class TestSynthesize:
             cert = synthesize(p)
             assert eval_word(cert.word) == p
             assert cert.length <= cert.certified_bound
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_seam_joins_are_free_reduction(self, n, monkeypatch):
+        # every piece is joined cancelling only at its seam; with plain concatenation
+        # in their place the same calls give unreduced letters, whose free reduction
+        # must be the word itself
+        elements = list(all_permutations(n))
+        pairs = [(k, m) for k in range(n) for m in range(n) if k != m]
+        words = [synthesize(p).word for p in elements] + [word_transposition(n, k, m) for k, m in pairs]
+
+        def concatenate(word, piece):
+            word += piece
+            return word
+
+        monkeypatch.setattr(synth, "_join", concatenate)
+        unreduced = [synthesize(p).word for p in elements] + [word_transposition(n, k, m) for k, m in pairs]
+        for word, letters in zip(words, unreduced):
+            assert word.letters == tuple(free_reduce(letters.letters))
+        if n >= 3:  # the seams do cancel letters
+            assert sum(map(len, unreduced)) > sum(map(len, words))
 
     def test_output_is_pinned(self):
         # one digest over every word, bound and shift: a change to any letter
