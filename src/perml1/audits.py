@@ -36,8 +36,8 @@ from .embed import (
     interval_profile,
 )
 from .metric import (
+    _delta_tables,
     _formula_batch_bytes,
-    _rank_deltas,
     bfs_distances,
     check_memory,
     formula_terms_batch,
@@ -373,8 +373,20 @@ def drift_walk(
     state is ranked from scratch.  A walker is an unrotated int8 row q and
     an offset r, its inverse row being j -> q[(j + r) mod n].  Since
     (g p)^-1 = p^-1 g^-1, c and c^-1 move only r (to r - 1 and r + 1), t
-    swaps q[r] and q[r + 1], and the deltas read the positions of 0, 1 and
-    n - 1: q[r], q[r + 1] and q[r - 1].  So a step costs O(1) per walker.
+    swaps q[r] and q[r + 1], and the delta of the drawn letter reads q[r],
+    the position of 0, and one more value: q[r + 1] (t: the position of 1),
+    q[r - 1] (c: of n - 1) or q[r] again (c^-1).  Each walker reads that one
+    entry of the _delta_tables tables, so a step costs O(1) per walker.
+
+    The formula proxy scores each distinct element once: F depends only on
+    the element, and the walkers drift so little that they keep landing on
+    the same ones.  The step's distinct states are rows of the smallest
+    unsigned dtype that holds n - 1, and each walker is an index into them.
+    A step deduplicates the (state, letter) keys 3 * walker + g, moves one
+    row per key, deduplicates the moved rows by content and scores each
+    distinct row with the kernel.  The values are gathered back in walker
+    order, so every walker's value, and so each step's mean and stderr, are
+    those of scoring every walker's own row.
     """
     if proxy not in ("formula", "bfs"):
         raise ValueError(f"unknown proxy {proxy!r}")
@@ -384,12 +396,18 @@ def drift_walk(
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if proxy == "formula":  # per walker: its row and the next, its draws and proxy values; and the kernel
-        check_memory(trials * (16 * n + 64) + _formula_batch_bytes(trials, n),
+    if proxy == "formula":
+        cell = np.min_scalar_type(n - 1)  # the entries of a walk row
+        # Per walker, a step holds its index, draw and last proxy value (24) and, outside the kernel, at most
+        # five rows (the old, the moved, np.unique's flat and sorted copies, the distinct) and 72 bytes of the
+        # np.unique calls: input, flat and sorted copies, order, masks, counts and inverse.  The kernel scores
+        # at most `trials` rows; its outputs (16n bytes a row) outweigh the move's intp index (8n).
+        check_memory(trials * (5 * n * cell.itemsize + 96) + _formula_batch_bytes(trials, n),
                      f"the formula drift walk of {trials:,} walkers on Sym_{n}")
-    else:  # the table; per walker: int8 row, offset, row start, rank, delta pick (n + 32), draws and flat
-        # indices (24), the (3, m) rank deltas as stacked (48), and the step's other temporaries (16)
-        check_memory(factorial(n) + trials * (n + 120),
+    else:  # the table; per walker: int8 row, offset, row start, rank (n + 24), draws, slot and the two
+        # slots read (32), the values read, the letter mask and the swapped values (8), the int64 delta
+        # index temporaries and the delta (24), and the last step's proxy values (8)
+        check_memory(factorial(n) + trials * (n + 96),
                      f"the BFS drift walk of {trials:,} walkers on Sym_{n}")
     table = bfs_distances(n) if proxy == "bfs" else None
     rng = np.random.default_rng(seed)
@@ -397,26 +415,34 @@ def drift_walk(
     letters = np.array([0, 0, 1, 2] if four_step else [0, 1, 2])  # t, c, c^-1
     if proxy == "bfs":
         q = np.tile(np.arange(n, dtype=np.int8), trials)  # the walkers' rows, end to end
-        row, pick = np.arange(0, n * trials, n), np.arange(trials)  # pick + trials * g: a walker's delta
-        r, ranks = np.zeros(trials, dtype=np.intp), np.zeros(trials, dtype=np.int64)
-        ahead, behind = np.roll(np.arange(n), -1), np.roll(np.arange(n), 1)
-        moved = np.concatenate([np.arange(n), behind, ahead])  # at n * g + r: the offset after t, c, c^-1
-    else:  # one-line rows, moved by the images of t, c and c^-1
-        states = np.tile(np.arange(n, dtype=np.int64), (trials, 1))
-        gens = np.concatenate(generator_neighbors_rows(np.arange(n)[None, :]))
+        row, r = np.arange(0, n * trials, n), np.zeros(trials, dtype=np.intp)
+        ranks = np.zeros(trials, dtype=np.int64)
+        same, ahead, behind = np.arange(n), np.roll(np.arange(n), -1), np.roll(np.arange(n), 1)
+        # at n * g + r: the offset after t, c, c^-1, and the slot of the delta's second value
+        moved, second = np.concatenate([same, behind, ahead]), np.concatenate([ahead, behind, same])
+        swap, up = _delta_tables(n)  # at (g, q[r], second value): t's swap entry, c's up, c^-1's -up
+        deltas = np.concatenate([swap, np.broadcast_to(up, (n, n)), np.broadcast_to(-up, (n, n))]).ravel()
+    else:  # the distinct one-line rows, each walker's index into them, and the rows of t, c and c^-1
+        rows, walker = np.arange(n, dtype=cell)[None, :], np.zeros(trials, dtype=np.intp)
+        gens = np.concatenate(generator_neighbors_rows(np.arange(n)[None, :])).astype(cell)
+        row_bytes = np.dtype((np.void, n * cell.itemsize))  # a row as one comparable item
     for t in range(1, horizon + 1):
         g = letters[rng.integers(0, len(letters), trials)]
         if proxy == "bfs":
-            at, nxt = row + r, row + ahead[r]
-            zero, one = q[at], q[nxt]
-            ranks += _rank_deltas(n, zero, one, q[row + behind[r]]).ravel().take(pick + trials * g)
-            swap = g == 0
-            q[at], q[nxt] = np.where(swap, one, zero), np.where(swap, zero, one)
-            r = moved.take(n * g + r)
+            slot = n * g + r
+            at, other = row + r, row + second.take(slot)
+            zero, value = q[at], q[other]
+            ranks += deltas.take((n * g + zero) * n + value)
+            transpose = g == 0
+            q[at], q[other] = np.where(transpose, value, zero), np.where(transpose, zero, value)
+            r = moved.take(slot)
             values = table.dist[ranks].astype(np.float64)
         else:
-            states = gens[g[:, None], states]  # left multiplication: g(p(k))
-            values = _bracket(*formula_terms_batch(states))[0]
+            keys, walker = np.unique(3 * walker + g, return_inverse=True)  # one move per (state, letter)
+            moved_rows = gens[(keys % 3)[:, None], rows[keys // 3]]  # left multiplication: g(p(k))
+            rows, key_row = np.unique(moved_rows.view(row_bytes).ravel(), return_inverse=True)
+            rows, walker = rows.view(cell).reshape(-1, n), key_row[walker]
+            values = _bracket(*formula_terms_batch(rows))[0][walker]
         mean = float(values.mean())
         stderr = float(values.std(ddof=1) / sqrt(trials)) if trials > 1 else 0.0
         if mean > t + 1e-9:

@@ -12,8 +12,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import factorial
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -226,7 +227,7 @@ def formula_length(p: Permutation) -> FormulaBreakdown:
     for q, image in enumerate(p.images):
         hist[(image - q) % n] += 1
     below = list(accumulate(hist * 2, initial=0))  # below[i]: the doubled ring's entries before i
-    s = sum(count * min(d, n - d) for d, count in enumerate(hist))
+    s = sum(map(mul, hist, chain(range(half + 1), range(n - half - 1, 0, -1))))  # dist0(d) = min(d, n - d)
     terms = []
     for l in range(n):
         diam = half  # the diameter of every light shift

@@ -291,6 +291,13 @@ class TestMemoryBudget:
         peak, largest = traced_peak_and_largest_check(lambda: drift_walk(40, 5, 2000, seed=1))
         assert peak <= largest
 
+    @pytest.mark.parametrize("args", [(40, 60, 2000), (3, 10, 100_000)], ids=["rarely-coinciding", "many-walkers"])
+    def test_formula_drift_walk_largest_stages(self, args, traced_peak_and_largest_check):
+        # at (40, 60, 2000) nearly every walker has its own row by the end, so the kernel scores about
+        # 2,000 rows; at degree 3 the six rows are nothing and the np.unique calls on the keys dominate
+        peak, largest = traced_peak_and_largest_check(lambda: drift_walk(*args, seed=1))
+        assert peak <= largest
+
     def test_bfs_drift_walk(self, traced_peak_and_largest_check):
         peak, largest = traced_peak_and_largest_check(lambda: drift_walk(8, 5, 20000, seed=1, proxy="bfs"))
         assert peak <= largest
@@ -473,6 +480,39 @@ class TestDrift:
             for step in series.series[1:]:
                 states = gens[rng.integers(0, len(gens), trials)[:, None], states]
                 assert step.mean == table.dist[rank_rows(states)].mean()
+
+    @pytest.mark.parametrize("four_step", [False, True])
+    def test_formula_proxy_matches_scoring_every_walker(self, four_step):
+        # reference walk: one-line states, every walker's row scored by the kernel.  128 and 256 are
+        # the dtype boundaries of the distinct rows; by step 40 the 60 walkers have (nearly) stopped
+        # coinciding at n >= 40, while at n = 2 and 3 they share one and six states
+        horizon, trials, seed = 40, 60, 4
+        for n in (2, 3, 7, 40, 130, 257):
+            series = drift_walk(n, horizon, trials, seed=seed, four_step=four_step)
+            gens = np.concatenate(generator_neighbors_rows(np.arange(n)[None, :]))
+            if four_step:
+                gens = gens[[0, 0, 1, 2]]
+            rng = np.random.default_rng(seed)
+            states = np.tile(np.arange(n), (trials, 1))
+            for step in series.series[1:]:
+                states = gens[rng.integers(0, len(gens), trials)[:, None], states]
+                values = audits._bracket(*formula_terms_batch(states))[0]
+                assert step.mean == float(values.mean())
+                assert step.stderr == float(values.std(ddof=1) / math.sqrt(trials))
+            if n >= 40:
+                assert len(np.unique(states, axis=0)) >= trials - 1
+
+    def test_formula_proxy_scores_each_distinct_row_once(self, monkeypatch):
+        calls, kernel = [], audits.formula_terms_batch
+        monkeypatch.setattr(audits, "formula_terms_batch", lambda rows: calls.append(rows.copy()) or kernel(rows))
+        n, horizon, trials = 40, 30, 200
+        drift_walk(n, horizon, trials, seed=2)
+        assert len(calls) == horizon
+        assert len(calls[0]) == 3  # t, c and c^-1 of the identity
+        for rows in calls:
+            assert len(rows) <= trials
+            assert len(np.unique(rows, axis=0)) == len(rows)
+            assert (np.sort(rows, axis=1) == np.arange(n)).all()
 
     def test_formula_proxy_lower_bounds_bfs_proxy(self):
         a = drift_walk(7, 5, 300, seed=17, proxy="formula")
