@@ -301,7 +301,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PropertyViolation as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    except (ValueError, ResourceLimitError) as exc:
+    except (ValueError, ResourceLimitError, OSError) as exc:  # OSError: an --out path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -353,6 +353,19 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "--version")
         assert code == 0 and out.startswith("perml1")
 
+    @pytest.mark.parametrize("argv", [
+        ["formula", "--perm", "1,2,0"],
+        ["synth", "--perm", "1,2,0"],
+        ["oracle", "--n", "3"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("bad", ["missing-dir", "directory"])
+    def test_unwritable_out_is_a_validation_error(self, capsys, tmp_path, argv, bad):
+        target = tmp_path / "absent" / "out.json" if bad == "missing-dir" else tmp_path
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 

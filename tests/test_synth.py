@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,15 @@ from perml1.synth import (
     word_transposition,
     word_transposition_from_zero,
 )
+
+
+def certificate_digest(elements):
+    """sha256 over the word, bound and shift synthesize gives each element."""
+    digest = hashlib.sha256()
+    for p in elements:
+        cert = synthesize(p)
+        digest.update(f"{cert.word} {cert.certified_bound} {cert.shift_used}\n".encode())
+    return digest.hexdigest()
 
 
 class TestFreeReduce:
@@ -201,13 +211,37 @@ class TestSynthesize:
     def test_output_is_pinned(self):
         # one digest over every word, bound and shift: a change to any letter
         # of any of these 8,913 words changes it
-        digest = hashlib.sha256()
         elements = [p for n in range(1, 8) for p in all_permutations(n)]
         elements += [p for n in (9, 20, 40) for p in seeded_elements(n, 1000)]
-        for p in elements:
-            cert = synthesize(p)
-            digest.update(f"{cert.word} {cert.certified_bound} {cert.shift_used}\n".encode())
-        assert digest.hexdigest() == "1b4e9329d579dd5ce2ad881eead97ff0cd7e1a2c87b8def8537843deee522a24"
+        assert certificate_digest(elements) == "1b4e9329d579dd5ce2ad881eead97ff0cd7e1a2c87b8def8537843deee522a24"
+
+    def test_output_is_pinned_at_high_degree(self):
+        elements = [p for n in (64, 100, 128, 256, 257) for p in [*seeded_elements(n, 30), tau(n)]]
+        assert certificate_digest(elements) == "90a3de04c832e6d6d47cf06a26a8e2342ca4ca7ceca7e5f0821e1bd6f6ef13a4"
+
+    def test_switching_degrees(self):
+        # the letter tables are held for the latest degree only: each switch rebuilds them
+        pinned = {
+            9: "7e4a90ff2358fe6a72b898573aa51b9538ebdfd3ba93bf3ddf178ba73cc72850",
+            40: "e3e15377a6a03c301d06b966e94fb904b17a2c699cd46574f6224c8cbd1b10fb",
+            256: "9d8cc718790cfb04e241e78144249ad82981b2386299367323aa8a319605e7da",
+        }
+        for n in (9, 40, 9, 256, 9):
+            assert certificate_digest([*seeded_elements(n, 20), tau(n)]) == pinned[n], n
+
+    def test_sparse_element_at_high_degree_builds_few_pieces(self):
+        # a transposition at degree 3,000 needs a handful of pieces, where all the
+        # rotation and transposition pieces of that degree are 11 million letters;
+        # the untraced call at another degree leaves no pieces of degree 3,000 behind
+        synthesize(Permutation.transposition(2999, 7, 11))
+        tracemalloc.start()
+        try:
+            cert = synthesize(Permutation.transposition(3000, 7, 11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.length <= cert.certified_bound
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("n", range(4, 65))
     def test_tau_word_length(self, n):
