@@ -36,7 +36,7 @@ from .embed import (
     interval_profile,
 )
 from .metric import (
-    _delta_tables,
+    _delta_table,
     _formula_batch_bytes,
     bfs_distances,
     check_memory,
@@ -134,8 +134,8 @@ def _score(sigma: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray,
     its row)).  Rows with d_lo = 0, a sampled pair that repeats an element,
     are not scored; a scored row at combined distance 0 is a violation."""
     distinct = d_lo > 0
-    if not distinct.any():
-        raise PropertyViolation("all sampled pairs were identical; increase sample_size")
+    if not distinct.any():  # a usage problem, not a failed property: there is no pair to score
+        raise ValueError("all sampled pairs were identical; increase sample_size")
     grid, profile = identity_distances(sigma)
     with np.errstate(over="ignore"):
         emb = scale1 * grid + profile
@@ -219,9 +219,10 @@ def distortion_audit(
         m = sample_size
         largest = max(_formula_batch_bytes(m, n), _identity_temp_bytes(m, n), 2 * _profile_bytes(n))
         check_memory(m * (8 * n + 49) + largest, f"the envelope audit of {m:,} pairs in Sym_{n}")
-        # each row is the rng.permutation(n) draw, in order; the rows die with the call
-        identity = np.broadcast_to(np.arange(n, dtype=np.int64), (m, n))
-        sigma = _quotients(rng.permuted(identity, axis=1), rng.permuted(identity, axis=1))
+        # each row is the rng.permutation(n) draw, in order, shuffled in place
+        draws = np.tile(np.arange(n), (2, m, 1))
+        sigma = _quotients(*rng.permuted(draws, axis=2, out=draws))
+        del draws
         checked, expansion, contraction = _score(sigma, *_bracket(*formula_terms_batch(sigma)), scale1)
 
     expansion_text, contraction_text = _check_witnesses(expansion[1], contraction[1])
@@ -369,14 +370,15 @@ def drift_walk(
 
     The distance proxy per step is either the exact BFS length or F/3, the
     lower edge of the formula's 3-approximation bracket.  The BFS proxy
-    moves each walker's Lehmer rank by _rank_deltas, as the BFS does, so no
+    moves each walker's Lehmer rank by _delta_table, as the BFS does, so no
     state is ranked from scratch.  A walker is an unrotated int8 row q and
     an offset r, its inverse row being j -> q[(j + r) mod n].  Since
     (g p)^-1 = p^-1 g^-1, c and c^-1 move only r (to r - 1 and r + 1), t
     swaps q[r] and q[r + 1], and the delta of the drawn letter reads q[r],
     the position of 0, and one more value: q[r + 1] (t: the position of 1),
     q[r - 1] (c: of n - 1) or q[r] again (c^-1).  Each walker reads that one
-    entry of the _delta_tables tables, so a step costs O(1) per walker.
+    entry of the table, at (g n + q[r]) n + that value, so a step costs O(1)
+    per walker.
 
     The formula proxy scores each distinct element once: F depends only on
     the element, and the walkers drift so little that they keep landing on
@@ -420,11 +422,10 @@ def drift_walk(
         same, ahead, behind = np.arange(n), np.roll(np.arange(n), -1), np.roll(np.arange(n), 1)
         # at n * g + r: the offset after t, c, c^-1, and the slot of the delta's second value
         moved, second = np.concatenate([same, behind, ahead]), np.concatenate([ahead, behind, same])
-        swap, up = _delta_tables(n)  # at (g, q[r], second value): t's swap entry, c's up, c^-1's -up
-        deltas = np.concatenate([swap, np.broadcast_to(up, (n, n)), np.broadcast_to(-up, (n, n))]).ravel()
+        deltas = _delta_table(n)
     else:  # the distinct one-line rows, each walker's index into them, and the rows of t, c and c^-1
         rows, walker = np.arange(n, dtype=cell)[None, :], np.zeros(trials, dtype=np.intp)
-        gens = np.concatenate(generator_neighbors_rows(np.arange(n)[None, :])).astype(cell)
+        gens = np.concatenate(generator_neighbors_rows(np.arange(n, dtype=cell)[None, :]))
         row_bytes = np.dtype((np.void, n * cell.itemsize))  # a row as one comparable item
     for t in range(1, horizon + 1):
         g = letters[rng.integers(0, len(letters), trials)]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate, chain
 from math import factorial
 from operator import add, mul, sub
@@ -40,6 +39,9 @@ _MAX_LEVEL = np.iinfo(np.int8).max
 # Byte budget for the largest temporaries of formula_terms_batch, those of one
 # block of rows (_row_block's `row` bytes each): it stays a few MB at any degree.
 _FORMULA_BLOCK_BYTES = 1 << 23
+
+# Rows per block of formula_terms_batch at most, its `chunk` default.
+_FORMULA_CHUNK = 1024
 
 
 class ResourceLimitError(RuntimeError):
@@ -82,43 +84,30 @@ def rank_rows(perms: np.ndarray) -> np.ndarray:
 
 
 def generator_neighbors_rows(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows for t*p, c*p and c^-1*p.  Left multiplication remaps values."""
-    n = perms.shape[1]
-    tp = perms.copy()
-    zeros = tp == 0
-    tp[tp == 1] = 0
-    tp[zeros] = 1
-    cp = (perms + 1) % n
-    cinvp = (perms - 1) % n
-    return tp, cp, cinvp
+    """Rows for t*p, c*p and c^-1*p: left multiplication maps each value v to g(v), g's row at v."""
+    values = np.arange(perms.shape[1], dtype=perms.dtype)
+    gens = np.array([values ^ (values < 2), np.roll(values, -1), np.roll(values, 1)])  # t swaps 0 and 1
+    return tuple(gens[:, perms])
 
 
-@cache
-def _delta_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only swap and up tables of _rank_deltas, built once per degree."""
+def _delta_table(n: int) -> np.ndarray:
+    """Lehmer-rank change of g*p, flat at (g*n + a)*n + b, where g is t, c or
+    c^-1 (0, 1, 2), a is the position in p of 0 and b that of the letter's
+    second value: 1, n-1 or 0 (b = a for c^-1).  With fact[i] = (n-1-i)!, the
+    weight of digit i, and prefix[a] = sum(fact[:a]):
+
+    - t swaps the values 0 and 1, which changes only the digits at their
+      positions a and b: +fact[a] if a < b, else -fact[b].
+    - c maps value v to v+1 mod n.  Every digit left of b, the position of
+      n-1, gains one (the new 0 lies to its right) and digit b drops from
+      n-1-b to 0: up[b] = +prefix[b] - (n-1-b) * fact[b].
+    - c^-1 undoes c: -up[b] with b the position of 0.
+    """
     idx = np.arange(n)
     fact = np.array([factorial(n - 1 - i) for i in idx], dtype=np.int64)
     swap = np.where(idx[:, None] < idx[None, :], fact[:, None], -fact[None, :])
     up = np.cumsum(fact) - fact - (n - 1 - idx) * fact
-    swap.flags.writeable = up.flags.writeable = False
-    return swap, up
-
-
-def _rank_deltas(n: int, zero: np.ndarray, one: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Lehmer-rank change of t*p, c*p and c^-1*p, shape (3, m), from the
-    positions in p of the values 0, 1 and n-1 (integer arrays over m rows).
-    With fact[i] = (n-1-i)!, the weight of digit i, and prefix[a] = sum(fact[:a]):
-
-    - t swaps the values 0 and 1, which changes only the digits at their
-      positions a = zero, b = one: swap[a, b] = +fact[a] if a < b, else -fact[b].
-    - c maps value v to v+1 mod n.  Every digit left of a = top gains one
-      (the new 0 lies to its right) and digit a drops from n-1-a to 0:
-      up[a] = +prefix[a] - (n-1-a) * fact[a].
-    - c^-1 undoes c: -up[a] with a = zero.
-    """
-    swap, up = _delta_tables(n)
-    # take on the flattened table is several times faster than swap[zero, one]
-    return np.stack([swap.take(n * zero.astype(np.int64) + one), up.take(top), -up.take(zero)])
+    return np.stack(np.broadcast_arrays(swap, up, -up)).ravel()
 
 
 def bfs_distances(n: int) -> DistanceTable:
@@ -128,7 +117,7 @@ def bfs_distances(n: int) -> DistanceTable:
     with dist == L, is read in blocks of k! ranks, k = _block_degree(n).
     A block's rows share their first n-k values (the head) and run through
     Sym_k on the rest, so the positions of 0, 1 and n-1 that the O(1) rank
-    deltas need (_rank_deltas) come from the head or from Sym_k's rows.
+    deltas need (_delta_table) come from the head or from Sym_k's rows.
     Each neighbour's entry becomes its minimum with level + 1 on the table's
     uint8 view, where the sentinel -1 reads 255: reached entries (at most
     level + 1) stay, duplicates write alike, and nothing is compressed.  The table
@@ -157,13 +146,16 @@ def bfs_distances(n: int) -> DistanceTable:
     cols = np.concatenate([np.repeat(np.arange(h, dtype=np.int8), block).reshape(h, block), h + inv.T])
     first = unrank_rows(n, np.arange(0, size, block))
     heads = np.array([(first == v).argmax(axis=1).astype(np.int8) for v in (0, 1, n - 1)])
+    t, c, cinv = _delta_table(n).reshape(3, n * n)
     reached = 0
     for level in range(_MAX_LEVEL):
         for lo, zero, one, top in zip(range(0, size, block), *heads):
             rows = np.flatnonzero(dist[lo:lo + block] == level)
             if len(rows):
                 reached += len(rows)
-                deltas = _rank_deltas(n, cols[zero][rows], cols[one][rows], cols[top][rows])
+                # t reads row a, the position of 0, of its third; c's and c^-1's repeat one row for every a
+                at = n * cols[zero][rows].astype(np.int64)
+                deltas = np.stack([t.take(at + cols[one][rows]), c.take(cols[top][rows]), cinv.take(cols[zero][rows])])
                 candidates = (lo + rows + deltas).ravel()
                 known = udist[candidates]
                 udist[candidates] = np.minimum(known, level + 1, out=known)
@@ -223,8 +215,7 @@ def formula_length(p: Permutation) -> FormulaBreakdown:
     passes MEMORY_BUDGET above n ~ 6,700, and which is slower per single row.
 
     The terms come from _shift_terms as two lists, which synthesize reads
-    directly; building the ShiftTerms and the breakdown is about half of the
-    0.011 ms per element at n = 9 (0.03 ms at n = 40, 0.16 ms at n = 256).
+    directly.
     """
     sums, diams = _shift_terms(p.n, p.images)
     totals = list(map(add, sums, diams))
@@ -272,15 +263,15 @@ def _row_block(n: int, chunk: int) -> tuple[int, int]:
     return max(1, min(chunk, _FORMULA_BLOCK_BYTES // row)), row
 
 
-def _formula_batch_bytes(m: int, n: int, chunk: int = 1024) -> int:
+def _formula_batch_bytes(m: int, n: int) -> int:
     """Bytes formula_terms_batch holds at its peak for m rows: the two int64
     outputs; the circulant, its float cast and BLAS-packed copy, which stays
     resident; and one block of rows."""
-    block, row = _row_block(n, chunk)
+    block, row = _row_block(n, _FORMULA_CHUNK)
     return 8 * (2 * m * n + 3 * n * n) + min(m, block) * row
 
 
-def formula_terms_batch(perms: np.ndarray, chunk: int = 1024) -> tuple[np.ndarray, np.ndarray]:
+def formula_terms_batch(perms: np.ndarray, chunk: int = _FORMULA_CHUNK) -> tuple[np.ndarray, np.ndarray]:
     """Per-shift sum and diameter terms for a batch of one-line rows.
 
     Returns (sums, diams), each of shape (m, n) with column l holding the

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .metric import _shift_terms
+from .metric import _shift_terms, check_memory
 from .metric import formula_length  # noqa: F401  the benchmark's tracer (perfbench/spans.py) wraps this binding
 from .perms import (
     C,
@@ -83,10 +83,9 @@ def word_transposition_from_zero(n: int, l: int) -> GeneratorWord:
     on the far side the mirrored form built from t' = c^-1 t c is shorter.
     The two forms meet at l = floor(n/2), chosen by emitted length.
     """
-    l %= n
-    if l == 0:
+    if l % n == 0:
         raise ValueError("(0 0) is not a transposition")
-    return GeneratorWord(n, tuple(_transposition_letters(n, l)))
+    return word_transposition(n, 0, l)
 
 
 def _transposition_letters(n: int, l: int) -> list[str]:
@@ -103,8 +102,7 @@ def word_transposition(n: int, k: int, m: int) -> GeneratorWord:
     m %= n
     if k == m:
         raise ValueError("transposition endpoints must differ")
-    letters = _join(rotation_word(n, k), _transposition_letters(n, (m - k) % n))
-    return GeneratorWord(n, tuple(_join(letters, rotation_word(n, -k))))
+    return GeneratorWord(n, tuple(_emit_transposition_stream(n, [(k, m)], [])))
 
 
 class _Pieces(dict):
@@ -182,8 +180,13 @@ def synthesize(p: Permutation) -> CertifiedWord:
 
     The shift terms come as plain lists from metric._shift_terms, with no
     breakdown objects; the rebased images stay a list whose orbits are traced
-    in place, and every piece is read from _letter_tables.  A call takes about
-    0.018 ms at n = 9, 0.07 ms at n = 40 and 1.2-1.6 ms at n = 256.
+    in place, and every piece is read from _letter_tables.
+
+    The word is checked against MEMORY_BUDGET before any letter is emitted:
+    at most 17 bytes a letter of the bound in the word's list and tuple, and 8
+    in the pieces it reads, whose letters, cancelled ones included, stayed
+    within 0.83 of the bound on every element tried.  A random element's
+    bound is about 1.47 n^2, so the refusal starts near n = 5,350.
     """
     n = p.n
     sums, diams = _shift_terms(n, p.images)
@@ -191,6 +194,8 @@ def synthesize(p: Permutation) -> CertifiedWord:
     best = min(weighted)
     l_star = weighted.index(best)
     bound = cycle_dist(n, 0, l_star) + best + n
+    # 25 a letter; per point the terms, rebased images, sweep and stream, and two pieces' headers; the call's objects
+    check_memory(25 * bound + 500 * n + 4096, f"the word of at most {bound:,} letters for an element of Sym_{n}")
 
     rebased = [(x + l_star) % n for x in p.images]  # c^l_star * p
     stream: list[tuple[int, int]] = []

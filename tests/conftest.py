@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from perml1 import audits, metric
+from perml1 import audits, metric, synth
 from perml1.embed import identity_distances
 from perml1.metric import bfs_distances, formula_distance, formula_terms_batch, generator_neighbors_rows
 from perml1.perms import Permutation, unrank_rows
@@ -107,6 +107,7 @@ def traced_peak_and_largest_check(monkeypatch):
         record = lambda nbytes, what: checked.append(nbytes) or check(nbytes, what)  # noqa: E731
         monkeypatch.setattr(metric, "check_memory", record)
         monkeypatch.setattr(audits, "check_memory", record)
+        monkeypatch.setattr(synth, "check_memory", record)
         tracemalloc.start()
         try:
             call()

@@ -242,6 +242,11 @@ class TestDistortionEnvelope:
             assert np.array_equal(rows, [reference.permutation(n) for _ in range(40)])
         assert generators[0].integers(1 << 62, size=4).tolist() == reference.integers(1 << 62, size=4).tolist()
 
+    def test_sample_of_one_repeated_element_is_a_validation_error(self):
+        # at this seed the single sampled pair of Sym_3 repeats one element: nothing is scored
+        with pytest.raises(ValueError, match="all sampled pairs were identical; increase sample_size"):
+            distortion_audit(3, mode="envelope", sample_size=1, seed=11)
+
     def test_runs_beyond_bfs_range(self):
         report = distortion_audit(15, mode="envelope", sample_size=300, seed=1)
         assert report.pairs_checked <= 300

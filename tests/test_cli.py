@@ -211,6 +211,13 @@ class TestAudit:
         )
         assert code == 1 and "sample_size must be >= 1" in err
 
+    def test_identical_envelope_sample_exits_with_validation_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "audit", "--n", "3", "--mode", "envelope", "--sample-size", "1", "--seed", "11"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: all sampled pairs were identical; increase sample_size\n"
+
     def test_large_scale_is_finite(self, capsys):
         # the grid part of the witness c^2 is 0; scaling its coordinate residue
         # once failed the witness check
@@ -280,10 +287,17 @@ class TestBudget:
         code, out, err = run_cli(capsys, *args)
         assert code == 1 and out == "" and "budget" in err
 
-    def test_synth_check_reports_null_beyond_the_budget(self, capsys, low_budget):
+    def test_synth_check_reports_null_beyond_the_budget(self, capsys, monkeypatch):
+        # the word checks 8,296 bytes (its bound is 48), the BFS over Sym_6 77,063
+        monkeypatch.setattr(metric, "MEMORY_BUDGET", 20_000)
         code, out, _ = run_cli(capsys, "synth", "--perm", "1,0,3,2,5,4", "--check")
         data = json.loads(out)
         assert code == 0 and data["eval_ok"] is True and data["bfs_distance"] is None
+
+    def test_synth_stops_at_the_budget(self, capsys, low_budget):
+        code, out, err = run_cli(capsys, "synth", "--perm", "1,0,3,2,5,4")
+        assert code == 1 and out == ""
+        assert "the word of at most 48 letters for an element of Sym_6 needs 8,296 bytes" in err
 
 
 class TestCube:

@@ -15,7 +15,7 @@ from perml1 import metric
 from perml1.metric import (
     ResourceLimitError,
     ShiftTerms,
-    _rank_deltas,
+    _delta_table,
     bfs_distances,
     formula_distance,
     formula_length,
@@ -201,11 +201,14 @@ class TestBfs:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_generator_table_acts_by_indexing(self, n, perm_arrays):
-        # the drift walk moves by indexing the images of t, c, c^-1
-        rows = perm_arrays[n]
-        gens = np.concatenate(generator_neighbors_rows(np.arange(n)[None, :]))
-        for g, neighbours in enumerate(generator_neighbors_rows(rows)):
-            assert np.array_equal(gens[g][rows], neighbours)
+        # the rows of t*p, c*p and c^-1*p, in the dtype of p's rows (unsigned ones included,
+        # where c^-1 must not wrap 0 - 1 around the dtype), against the scalar product
+        gens = [Permutation.transposition(n), Permutation.rotation(n), Permutation.rotation(n, -1)]
+        elements = list(all_permutations(n))
+        for rows in (perm_arrays[n].astype(dtype) for dtype in (np.int64, np.int8, np.uint8)):
+            for g, neighbours in zip(gens, generator_neighbors_rows(rows)):
+                assert neighbours.dtype == rows.dtype
+                assert neighbours.tolist() == [list(compose(g, p).images) for p in elements]
 
     @pytest.mark.parametrize(
         "n, block_degree",
@@ -520,7 +523,7 @@ class TestBatch:
         # the nonzero vectors of the 12-cube: degree 576 and 4,095 heavy entries, in several row blocks
         rows = cube_rows(12)
         m, n = rows.shape
-        assert heavy_shifts(rows).sum() == m == 4095 > metric._row_block(n, 1024)[0]
+        assert heavy_shifts(rows).sum() == m == 4095 > metric._row_block(n, metric._FORMULA_CHUNK)[0]
         tracemalloc.start()
         try:
             formula_terms_batch(rows)
@@ -556,12 +559,14 @@ class TestBatch:
 
 
 def assert_rank_deltas(rows):
-    """t, c and c^-1 change rank_rows by exactly the deltas of _rank_deltas."""
-    pos = np.argsort(rows, axis=1).astype(np.int8)  # pos[v] = position of v
-    deltas = _rank_deltas(rows.shape[1], pos[:, 0], pos[:, 1], pos[:, -1])
+    """t, c and c^-1 change rank_rows by exactly the _delta_table entry at
+    (g, the position of 0, that of the letter's second value 1, n-1 or 0)."""
+    n = rows.shape[1]
+    pos = np.argsort(rows, axis=1)  # pos[v] = position of v
+    table = _delta_table(n).reshape(3, n, n)
     ranks = rank_rows(rows)
-    for neighbours, delta in zip(generator_neighbors_rows(rows), deltas):
-        assert np.array_equal(rank_rows(neighbours), ranks + delta)
+    for g, (neighbours, second) in enumerate(zip(generator_neighbors_rows(rows), (1, n - 1, 0))):
+        assert np.array_equal(rank_rows(neighbours), ranks + table[g, pos[:, 0], pos[:, second]])
 
 
 class TestRankDeltas:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import seeded_elements, tau
 
-from perml1 import synth
-from perml1.metric import formula_length
+from perml1 import metric, synth
+from perml1.metric import ResourceLimitError, formula_length
 from perml1.perms import (
     GeneratorWord,
     Permutation,
@@ -249,3 +249,40 @@ class TestSynthesize:
         cert = synthesize(tau(n))
         assert eval_word(cert.word) == tau(n)
         assert cert.length == n * (n - 1) // 2 + (2 if n % 4 == 2 else 0)
+
+
+class TestMemoryBudget:
+    """The traced peak of synthesize, with the pieces of its degree built
+    afresh, stays within the bytes it checked against the budget."""
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 40, 200, 500])
+    @pytest.mark.parametrize("kind", ["seeded", "tau", "transposition"])
+    def test_cold_pieces(self, n, kind, traced_peak_and_largest_check):
+        p = {"seeded": next(seeded_elements(n, 1)), "tau": tau(n),
+             "transposition": Permutation.transposition(n, 0, n // 2)}[kind]
+
+        def call():
+            synth._letter_tables.cache_clear()
+            return synthesize(p)
+
+        peak, largest = traced_peak_and_largest_check(call)
+        assert peak <= largest
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_pieces_within_the_bound(self, n, monkeypatch):
+        # the check counts the letters of the pieces a word reads, cancelled ones included,
+        # at most the bound: with plain concatenation in place of the seam joins, the
+        # words of all of Sym_n and of seeded elements up to degree 256 stay within it
+        monkeypatch.setattr(synth, "_join", lambda word, piece: word.extend(piece) or word)
+        elements = [*all_permutations(n), *seeded_elements(9 * n, 20), *seeded_elements(256, 2 * n)]
+        for p in elements:
+            cert = synthesize(p)
+            assert cert.length <= cert.certified_bound
+
+    def test_refused_before_any_letter(self, monkeypatch):
+        # tau(1000)'s bound is 1,502,000 letters: 38 MB checked, over a 16 MiB budget
+        monkeypatch.setattr(metric, "MEMORY_BUDGET", 1 << 24)
+        monkeypatch.setattr(synth, "_letter_tables", lambda n: pytest.fail("pieces built"))
+        what = "the word of at most 1,502,000 letters for an element of Sym_1000 needs"
+        with pytest.raises(ResourceLimitError, match=what):
+            synthesize(tau(1000))
