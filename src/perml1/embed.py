@@ -142,29 +142,22 @@ def interior_contains_zero(n: int, start: int, length: int) -> bool:
     return INTERIOR_MARGIN <= offset <= length - 1 - INTERIOR_MARGIN
 
 
-def _profile_bytes(n: int) -> int:
-    """Bytes interval_profile holds at degree n: 8 per value of each kept
-    interval's tuple, and per key at most 300 for the tuple's header, the
-    IntervalKey, the weight and a dict slot with the dict's resize copy."""
-    keys = n * (n + 1) // 2 + n - 1  # cap(0) = n, and cap(u) = n - u + 1 for u >= 1
-    values = n * (n + 1) // 2 + n * (n + 1) * (n + 2) // 6 - 1
-    return 8 * values + 300 * keys
-
-
-def interval_profile(p: Permutation) -> SparseVector:
-    """Accumulate 1/n at (length, inverse values along the interval) for every
-    interval whose interior avoids 0.  Colliding keys add up."""
+def _profile_parts(p: Permutation) -> Iterator[SparseVector]:
+    """The profile's coordinates one interval length at a time, lengths 1..n:
+    1/n at (length, inverse values along the interval) for every interval of
+    that length whose interior avoids 0.  The inverse is injective, so the
+    first value fixes the start and no two intervals share a key."""
     n = p.n
     pinv = inverse(p).images
     doubled = pinv + pinv  # wrap-free slicing windows
-    weight = 1.0 / n
-    coords: dict = {}
-    for start, length in intervals(n):
-        if interior_contains_zero(n, start, length):
-            continue
-        key = IntervalKey(length, doubled[start:start + length])
-        coords[key] = coords.get(key, 0.0) + weight
-    return SparseVector(coords)
+    for length in range(1, n + 1):
+        yield SparseVector({IntervalKey(length, doubled[start:start + length]): 1.0 / n
+                            for start in range(n) if not interior_contains_zero(n, start, length)})
+
+
+def interval_profile(p: Permutation) -> SparseVector:
+    """The union of the per-length parts: a key carries its length, so no key is in two parts."""
+    return SparseVector({key: v for part in _profile_parts(p) for key, v in part.coords.items()})
 
 
 def combined_embed(p: Permutation, scale1: float = DEFAULT_GRID_SCALE) -> CombinedPoint:

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import generator_edges
+
 from perml1 import audits, metric
 from perml1.audits import (
     CubeAuditReport,
@@ -128,6 +130,19 @@ class TestDistortionExact:
             assert report.max_expansion == pytest.approx(exp, rel=1e-12)
             assert report.max_contraction == pytest.approx(con, rel=1e-12)
             assert report.expansion_witness[0] == str(Permutation.identity(n))
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_expansion_is_the_t_edge(self, n, sweep):
+        # the combined distance is a right-invariant pseudometric, so along a shortest word to sigma,
+        # emb(sigma) <= d(sigma) * max_g emb(g): the largest ratio over Sym_n is a generator's, t's
+        s = sweep[n]
+        emb = DEFAULT_GRID_SCALE * s.grid[1:] + s.profile[1:]  # rank 0 is the identity
+        grid, profile = generator_edges(n)
+        edges = DEFAULT_GRID_SCALE * grid + profile  # t, c, c^-1
+        assert edges.argmax() == 0
+        assert (emb / bfs_distances(n).dist[1:]).max() == pytest.approx(edges[0], rel=1e-12, abs=0)
+        if n <= 8:
+            assert distortion_audit(n).max_expansion == pytest.approx(edges[0], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("block_degree", [2, 3])
     @pytest.mark.parametrize("n", range(4, 8))
@@ -287,8 +302,17 @@ class TestMemoryBudget:
         assert peak <= largest
 
     def test_envelope_witness_profiles(self, traced_peak_and_largest_check):
-        # few pairs at a high degree: the witness re-check's two dict-backed profiles dominate
+        # few pairs at a high degree, where the witness re-check's grids and per-length profile parts
+        # are a large share of the peak
         call = lambda: distortion_audit(100, mode="envelope", sample_size=100, seed=1)  # noqa: E731
+        peak, largest = traced_peak_and_largest_check(call)
+        assert peak <= largest
+
+    def test_envelope_at_degree_300_fits_16_mib(self, monkeypatch, traced_peak_and_largest_check):
+        # the witness re-check holds one interval length of each profile at a time, so its bytes are
+        # O(n^2); two whole profiles at degree 300 would take about 100 MB
+        monkeypatch.setattr(metric, "MEMORY_BUDGET", 16 << 20)
+        call = lambda: distortion_audit(300, mode="envelope", sample_size=100, seed=1)  # noqa: E731
         peak, largest = traced_peak_and_largest_check(call)
         assert peak <= largest
 
@@ -325,7 +349,7 @@ class TestMemoryBudget:
         assert peak <= largest
 
     @pytest.mark.parametrize("call, what", [
-        (lambda: distortion_audit(1000, mode="envelope"), "envelope audit of 20,000 pairs in Sym_1000 needs"),
+        (lambda: distortion_audit(2015, mode="envelope"), "envelope audit of 20,000 pairs in Sym_2015 needs"),
         (lambda: drift_walk(100, 1, 10 ** 6), "formula drift walk of 1,000,000 walkers on Sym_100 needs"),
         (lambda: cube_audit(40), "cube audit of 820 classes at degree 6400 needs"),
     ], ids=["envelope", "drift", "cube"])

@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import generator_edges, seeded_elements
+from conftest import generator_edges, seeded_elements, tau
 
 from perml1.embed import (
     DEFAULT_GRID_SCALE,
     CircleGrid,
+    _profile_parts,
     avg_vs_min_check,
     circle_grid,
     circle_grid_distance,
@@ -134,6 +135,20 @@ def oracle_profile_mass(n):
     return total / n
 
 
+def oracle_profile(p):
+    """The profile built whole, interval by interval: 1/n added at (length,
+    inverse values along the interval) for every interval whose interior avoids 0."""
+    n, pinv = p.n, inverse(p).images
+    coords = {}
+    for a in range(n):
+        for length in range(1, n + 1):
+            pts = [(a + i) % n for i in range(length)]
+            if 0 not in pts[1:length - 1]:
+                key = (length, tuple(pinv[x] for x in pts))
+                coords[key] = coords.get(key, 0.0) + 1 / n
+    return coords
+
+
 class TestIntervalProfile:
     def test_mass_degree_four(self):
         mass = interval_profile(Permutation.identity(4)).l1_norm()
@@ -149,6 +164,33 @@ class TestIntervalProfile:
             rng.shuffle(images)
             p = Permutation(n, tuple(images))
             assert interval_profile(p).l1_norm() == pytest.approx(expected)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_parts_are_the_profile_by_length(self, n):
+        # every element up to degree 6, seeded ones at 7 and 8
+        elements = all_permutations(n) if n <= 6 else seeded_elements(n, 30)
+        for p in elements:
+            parts = list(_profile_parts(p))
+            assert [{key.length for key in part.coords} for part in parts] == [{length} for length in range(1, n + 1)]
+            reference = oracle_profile(p)
+            assert {key: v for part in parts for key, v in part.coords.items()} == reference
+            assert interval_profile(p).coords == reference
+
+    @staticmethod
+    def assert_per_length_distance(n, elements):
+        identity = Permutation.identity(n)
+        whole = interval_profile(identity)
+        for q in elements:
+            per_length = sum(a.distance(b) for a, b in zip(_profile_parts(identity), _profile_parts(q)))
+            assert per_length == pytest.approx(whole.distance(interval_profile(q)), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_per_length_distance_is_the_distance_on_all_elements(self, n):
+        self.assert_per_length_distance(n, all_permutations(n))
+
+    def test_per_length_distance_is_the_distance_beyond(self):
+        for n in range(7, 65):
+            self.assert_per_length_distance(n, [*seeded_elements(n, 3), tau(n)])
 
     def test_distance_reflexive(self):
         v = interval_profile(Permutation(5, (2, 0, 4, 1, 3)))
