@@ -17,6 +17,7 @@ whole class; hamming_embed is the scalar reference for every vector's row.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import asdict, dataclass
 from math import factorial, isclose, sqrt
@@ -53,6 +54,7 @@ __all__ = [
     "hamming_embed", "CubeAuditReport", "cube_audit",
     "DriftStep", "DriftSeries", "drift_walk", "drift_slope",
 ]
+_PENDING_STEPS = 16  # steps a formula drift walk moves before it scores them, at most
 
 
 class PropertyViolation(AssertionError):
@@ -82,6 +84,17 @@ class DistortionReport:
                 "the largest expansion, so it is neither an upper bound nor a certified lower bound on the distortion"
             )
         return out
+
+
+def _integers(**args) -> list[Optional[int]]:
+    """An audit's integer arguments as ints, in order: no bools, sample_size and seed may be None, seed >= 0."""
+    for name, value in args.items():
+        if value is not None or name not in ("sample_size", "seed"):
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if name == "seed" and operator.index(value) < 0:
+                raise ValueError(f"seed must be None or a non-negative integer, got {value}")
+    return [None if value is None else operator.index(value) for value in args.values()]
 
 
 def _elapsed_ms(start: float) -> float:
@@ -178,6 +191,7 @@ def distortion_audit(
     start = time.perf_counter()
     if mode not in ("exact", "envelope"):
         raise ValueError(f"unknown mode {mode!r}")
+    n, sample_size, seed = _integers(n=n, sample_size=sample_size, seed=seed)
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
     if sample_size is not None and sample_size < 1:
@@ -299,6 +313,7 @@ def cube_audit(n: int) -> CubeAuditReport:
     n = 40 raises ResourceLimitError.
     """
     start = time.perf_counter()
+    (n,) = _integers(n=n)
     if n < 1:
         raise ValueError(f"cube dimension must be >= 1, got {n}")
     degree, rows = 4 * n * n, n * (n + 1) // 2
@@ -387,17 +402,18 @@ def drift_walk(
     per walker.
 
     The formula proxy scores each distinct element once: F depends only on
-    the element, and the walkers drift so little that they keep landing on
-    the same ones.  The step's distinct states are rows of the smallest
-    unsigned dtype that holds n - 1, and each walker is an index into them.
-    A step deduplicates the (state, letter) keys 3 * walker + g, moves one
-    row per key, deduplicates the moved rows by content and scores each
-    distinct row with the kernel.  The values are gathered back in walker
-    order, so every walker's value, and so each step's mean and stderr, are
-    those of scoring every walker's own row.
+    the element, and the walkers keep landing on the same ones.  A step's
+    distinct states are rows of the smallest unsigned dtype that holds
+    n - 1, each walker an int32 index into them.  A step flags the (state,
+    letter) keys 3 * walker + g (their running count ranks them), moves one
+    row per key and deduplicates the moved rows by content.  No move reads a
+    score, so up to _PENDING_STEPS steps, holding at most `trials` rows, wait
+    for one kernel call on their distinct rows; each step's values are then
+    gathered in walker order, as if every walker's own row were scored.
     """
     if proxy not in ("formula", "bfs"):
         raise ValueError(f"unknown proxy {proxy!r}")
+    n, horizon, trials, seed = _integers(n=n, horizon=horizon, trials=trials, seed=seed)
     if n < 2:
         raise ValueError("the walk needs both generators, so degree >= 2")
     if horizon < 0:
@@ -406,11 +422,10 @@ def drift_walk(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if proxy == "formula":
         cell = np.min_scalar_type(n - 1)  # the entries of a walk row
-        # Per walker, a step holds its index, draw and last proxy value (24) and, outside the kernel, at most
-        # five rows (the old, the moved, np.unique's flat and sorted copies, the distinct) and 72 bytes of the
-        # np.unique calls: input, flat and sorted copies, order, masks, counts and inverse.  The kernel scores
-        # at most `trials` rows; its outputs (16n bytes a row) outweigh the move's intp index (8n).
-        check_memory(trials * (5 * n * cell.itemsize + 96) + _formula_batch_bytes(trials, n),
+        # Per walker: draw, key, index (20), an int32 index per pending step, and 76 bytes of flags, counts and
+        # np.unique's order, mask and inverse, or of scored values; six rows outside the kernel (pending, the step's
+        # distinct, np.unique's input, copies, output), three beside it, whose outputs (16n a row) outweigh the rest.
+        check_memory(trials * (5 * n * cell.itemsize + 96 + 4 * _PENDING_STEPS) + _formula_batch_bytes(trials, n),
                      f"the formula drift walk of {trials:,} walkers on Sym_{n}")
     else:  # the table; per walker: int8 row, offset, row start, rank (n + 24), draws, slot and the two
         # slots read (32), the values read, the letter mask and the swapped values (8), the int64 delta
@@ -420,6 +435,22 @@ def drift_walk(
     table = bfs_distances(n) if proxy == "bfs" else None
     rng = np.random.default_rng(seed)
     steps = [DriftStep(0, 0.0, 0.0)]
+
+    def record(values: np.ndarray) -> None:  # the next step's proxy values, in walker order
+        t, mean = len(steps), float(values.mean())
+        if mean > t + 1e-9:
+            raise PropertyViolation(f"drift proxy mean {mean} exceeds step count {t}")
+        steps.append(DriftStep(t, mean, float(values.std(ddof=1) / sqrt(trials)) if trials > 1 else 0.0))
+
+    def score_pending() -> None:  # one kernel call on the pending steps' distinct rows (one step's are distinct)
+        stack = np.concatenate([r for r, _ in pending]).view(row_bytes)
+        distinct, index = np.unique(stack, return_inverse=True) if len(pending) > 1 else (stack, np.arange(len(stack)))
+        # 256-row blocks: one block of the 602 rows of drift_walk(40, 10, 2000) ran 7% slower and held 0.5 MB more
+        values = _bracket(*formula_terms_batch(distinct.view(cell).reshape(-1, n), 256))[0][index.ravel()]
+        for part, (_, step_walker) in zip(np.split(values, np.cumsum([len(r) for r, _ in pending])), pending):
+            record(part[step_walker])
+        pending.clear()
+
     letters = np.array([0, 0, 1, 2] if four_step else [0, 1, 2])  # t, c, c^-1
     if proxy == "bfs":
         q = np.tile(np.arange(n, dtype=np.int8), trials)  # the walkers' rows, end to end
@@ -429,11 +460,12 @@ def drift_walk(
         # at n * g + r: the offset after t, c, c^-1, and the slot of the delta's second value
         moved, second = np.concatenate([same, behind, ahead]), np.concatenate([ahead, behind, same])
         deltas = _delta_table(n)
-    else:  # the distinct one-line rows, each walker's index into them, and the rows of t, c and c^-1
-        rows, walker = np.arange(n, dtype=cell)[None, :], np.zeros(trials, dtype=np.intp)
-        gens = np.concatenate(generator_neighbors_rows(np.arange(n, dtype=cell)[None, :]))
+    else:  # the distinct one-line rows, each walker's index into them, and the rows of t, c and c^-1, end to end
+        rows, walker = np.arange(n, dtype=cell)[None, :], np.zeros(trials, dtype=np.int32)
+        gens = np.concatenate(generator_neighbors_rows(np.arange(n, dtype=cell)[None, :])).ravel()
         row_bytes = np.dtype((np.void, n * cell.itemsize))  # a row as one comparable item
-    for t in range(1, horizon + 1):
+        pending: list[tuple[np.ndarray, np.ndarray]] = []  # the unscored steps' distinct rows and walker indices
+    for _ in range(horizon):
         g = letters[rng.integers(0, len(letters), trials)]
         if proxy == "bfs":
             slot = n * g + r
@@ -443,18 +475,19 @@ def drift_walk(
             transpose = g == 0
             q[at], q[other] = np.where(transpose, value, zero), np.where(transpose, zero, value)
             r = moved.take(slot)
-            values = table.dist[ranks].astype(np.float64)
+            record(table.dist[ranks].astype(np.float64))
         else:
-            keys, walker = np.unique(3 * walker + g, return_inverse=True)  # one move per (state, letter)
-            moved_rows = gens[(keys % 3)[:, None], rows[keys // 3]]  # left multiplication: g(p(k))
-            rows, key_row = np.unique(moved_rows.view(row_bytes).ravel(), return_inverse=True)
-            rows, walker = rows.view(cell).reshape(-1, n), key_row[walker]
-            values = _bracket(*formula_terms_batch(rows))[0][walker]
-        mean = float(values.mean())
-        stderr = float(values.std(ddof=1) / sqrt(trials)) if trials > 1 else 0.0
-        if mean > t + 1e-9:
-            raise PropertyViolation(f"drift proxy mean {mean} exceeds step count {t}")
-        steps.append(DriftStep(t, mean, stderr))
+            key, flags = 3 * walker + g, np.zeros(3 * len(rows), dtype=bool)
+            flags[key] = True  # one move per (state, letter) key; the keys come sorted
+            keys = np.flatnonzero(flags)
+            rows, key_row = np.unique(gens.take(n * (keys % 3)[:, None] + rows[keys // 3]).view(row_bytes),
+                                      return_inverse=True)  # g(p(k)) by one flat gather, then by content
+            rows, walker = rows.view(cell).reshape(-1, n), key_row.ravel().astype(np.int32)[np.cumsum(flags)[key] - 1]
+            if len(pending) == _PENDING_STEPS or sum(len(p) for p, _ in pending) + len(rows) > trials:
+                score_pending()
+            pending.append((rows, walker))
+    if steps[-1].t < horizon:  # the formula walk's last pending steps
+        score_pending()
     return DriftSeries(n, horizon, trials, seed, proxy, tuple(steps))
 
 

@@ -132,6 +132,13 @@ class GeneratorWord:
     def parse(cls, n: int, text: str) -> "GeneratorWord":
         return cls(n, tuple(text))
 
+    @classmethod
+    def _of_letters(cls, n: int, letters: tuple[str, ...]) -> "GeneratorWord":
+        """The word of letters the caller took from the alphabet, at degree n >= 1, made without checking them."""
+        word = object.__new__(cls)
+        word.__dict__.update(n=n, letters=letters)  # past the frozen __setattr__, and no __post_init__
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 

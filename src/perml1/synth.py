@@ -209,4 +209,4 @@ def synthesize(p: Permutation) -> CertifiedWord:
             seen[b] = True
             a = b
     letters = _emit_transposition_stream(n, stream, list(_letter_tables(n)[0][-l_star % n]))
-    return CertifiedWord(GeneratorWord(n, tuple(letters)), p, bound, l_star)
+    return CertifiedWord(GeneratorWord._of_letters(n, tuple(letters)), p, bound, l_star)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -327,6 +328,11 @@ class TestMemoryBudget:
         peak, largest = traced_peak_and_largest_check(lambda: drift_walk(*args, seed=1))
         assert peak <= largest
 
+    def test_formula_drift_walk_at_the_step_cap(self, traced_peak_and_largest_check):
+        # six states a step, so every score waits for _PENDING_STEPS steps: their int32 walker indices dominate
+        peak, largest = traced_peak_and_largest_check(lambda: drift_walk(3, 40, 100_000, seed=1))
+        assert peak <= largest
+
     def test_bfs_drift_walk(self, traced_peak_and_largest_check):
         peak, largest = traced_peak_and_largest_check(lambda: drift_walk(8, 5, 20000, seed=1, proxy="bfs"))
         assert peak <= largest
@@ -531,17 +537,25 @@ class TestDrift:
             if n >= 40:
                 assert len(np.unique(states, axis=0)) >= trials - 1
 
-    def test_formula_proxy_scores_each_distinct_row_once(self, monkeypatch):
+    @pytest.mark.parametrize("n, horizon, trials, seed, expected", [
+        (40, 10, 2000, 1, [602]),  # every step waits for one call: 1,153 per-step rows, 602 distinct states
+        (40, 30, 200, 2, None),  # the pending rows would pass 200: more than one call
+        (3, 40, 1000, 3, [6, 6, 6]),  # six states a step: 16, 16 and 8 steps, capped at _PENDING_STEPS
+    ])
+    def test_formula_proxy_scores_pending_steps_together(self, monkeypatch, n, horizon, trials, seed, expected):
         calls, kernel = [], audits.formula_terms_batch
-        monkeypatch.setattr(audits, "formula_terms_batch", lambda rows: calls.append(rows.copy()) or kernel(rows))
-        n, horizon, trials = 40, 30, 200
-        drift_walk(n, horizon, trials, seed=2)
-        assert len(calls) == horizon
-        assert len(calls[0]) == 3  # t, c and c^-1 of the identity
+        monkeypatch.setattr(audits, "formula_terms_batch",
+                            lambda rows, *chunk: calls.append(rows.copy()) or kernel(rows, *chunk))
+        drift_walk(n, horizon, trials, seed=seed)
+        assert audits._PENDING_STEPS == 16
         for rows in calls:
             assert len(rows) <= trials
             assert len(np.unique(rows, axis=0)) == len(rows)
             assert (np.sort(rows, axis=1) == np.arange(n)).all()
+        if expected is None:
+            assert len(calls) > 1
+        else:
+            assert [len(rows) for rows in calls] == expected
 
     def test_formula_proxy_lower_bounds_bfs_proxy(self):
         a = drift_walk(7, 5, 300, seed=17, proxy="formula")
@@ -569,3 +583,40 @@ class TestDrift:
         )
         assert drift_slope(series) == pytest.approx(0.75, abs=1e-9)
         assert drift_slope(series, min_t=1) == pytest.approx(0.75, abs=1e-9)
+
+
+class TestArguments:
+    """Degrees, horizons, trials and sample sizes are integers and not bools, and a seed is None or a
+    non-negative integer; each error names the argument."""
+
+    @pytest.mark.parametrize("call, error, what", [
+        (lambda: drift_walk(40.0, 3, 10), TypeError, "n must be an integer, got 40.0"),
+        (lambda: drift_walk(40, 3.0, 10), TypeError, "horizon must be an integer, got 3.0"),
+        (lambda: drift_walk(40, 10, 2.5), TypeError, "trials must be an integer, got 2.5"),
+        (lambda: drift_walk(40, 10, True), TypeError, "trials must be an integer, got True"),
+        (lambda: drift_walk(40, 3, 10, seed=-1), ValueError, "seed must be None or a non-negative integer, got -1"),
+        (lambda: drift_walk(40, 3, 10, seed=1.5), TypeError, "seed must be an integer, got 1.5"),
+        (lambda: distortion_audit(3.0), TypeError, "n must be an integer, got 3.0"),
+        (lambda: distortion_audit(True), TypeError, "n must be an integer, got True"),
+        (lambda: distortion_audit(5, sample_size=10.0), TypeError, "sample_size must be an integer, got 10.0"),
+        (lambda: distortion_audit(5, sample_size=False), TypeError, "sample_size must be an integer, got False"),
+        (lambda: distortion_audit(5, "envelope", seed=-2), ValueError, "seed must be None or a non-negative"),
+        (lambda: distortion_audit(5, "envelope", seed="1"), TypeError, "seed must be an integer, got '1'"),
+        (lambda: cube_audit(2.0), TypeError, "n must be an integer, got 2.0"),
+        (lambda: cube_audit(True), TypeError, "n must be an integer, got True"),
+        (lambda: cube_audit(np.True_), TypeError, "n must be an integer, got "),
+    ], ids=["drift-n", "drift-horizon", "drift-trials", "drift-trials-bool", "drift-seed-negative",
+            "drift-seed-float", "audit-n", "audit-n-bool", "audit-sample-size", "audit-sample-size-bool",
+            "audit-seed-negative", "audit-seed-str", "cube-n", "cube-n-bool", "cube-n-numpy-bool"])
+    def test_checked_at_the_boundary(self, call, error, what):
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value).startswith(what)
+
+    def test_numpy_integers_are_plain_ints_in_the_reports(self):
+        series = drift_walk(np.int64(8), np.int32(2), np.uint16(16), seed=np.int64(0))
+        assert series == drift_walk(8, 2, 16, seed=0)
+        assert json.loads(json.dumps(series.to_json_dict()))["seed"] == 0
+        report = distortion_audit(np.int8(5), "envelope", sample_size=np.int64(50), seed=np.uint8(3))
+        assert masked(report) == masked(distortion_audit(5, "envelope", sample_size=50, seed=3))
+        assert json.dumps(report.to_json_dict()) and json.dumps(cube_audit(np.int64(3)).to_json_dict())

@@ -346,6 +346,10 @@ class TestDrift:
         code, out, err = run_cli(capsys, "drift", "--n", "8", "--horizon", "2", "--trials", "0")
         assert code == 1 and out == "" and "trials must be >= 1" in err
 
+    def test_negative_seed_exits_with_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "drift", "--n", "8", "--horizon", "2", "--trials", "4", "--seed", "-1")
+        assert code == 1 and out == "" and "seed must be None or a non-negative integer, got -1" in err
+
     def test_bfs_proxy_guard(self, capsys):
         code, _, err = run_cli(
             capsys, "drift", "--n", "13", "--horizon", "2", "--trials", "8",

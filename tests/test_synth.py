@@ -208,6 +208,16 @@ class TestSynthesize:
         if n >= 3:  # the seams do cancel letters
             assert sum(map(len, unreduced)) > sum(map(len, words))
 
+    @pytest.mark.parametrize("n", [1, 9, 64])
+    def test_word_is_the_checked_word(self, n):
+        # synthesize makes its word without the letter check; it must equal the checked constructor's word
+        for p in [Permutation.identity(n), *seeded_elements(n, 5)]:
+            word = synthesize(p).word
+            checked = GeneratorWord(word.n, word.letters)
+            assert word == checked and hash(word) == hash(checked) and vars(word) == vars(checked)
+            assert type(word.n) is int and type(word.letters) is tuple
+            assert set(word.letters) <= {"t", "c", "C"} and eval_word(word) == p
+
     def test_output_is_pinned(self):
         # one digest over every word, bound and shift: a change to any letter
         # of any of these 8,913 words changes it
