@@ -29,7 +29,7 @@ from . import __version__
 from .embed import (
     DEFAULT_GRID_SCALE,
     _identity_temp_bytes,
-    _profile_parts,
+    _window_profile_distances,
     check_scale1,
     circle_grid,
     circle_grid_distance,
@@ -45,7 +45,7 @@ from .metric import (
     generator_neighbors_rows,
     rank_rows,
 )
-from .perms import Permutation, _block_degree, unrank_rows
+from .perms import Permutation, _block_degree, _signed_cells, unrank_rows
 from .perms import all_permutations  # noqa: F401  the benchmark's tracer (perfbench/spans.py) wraps this binding
 
 __all__ = [
@@ -125,20 +125,20 @@ def _witness(row: np.ndarray) -> tuple[Permutation, Permutation]:
 
 def _check_witnesses(*rows: np.ndarray) -> list[tuple[str, str]]:
     """Check each witness's closed-form grid and profile distances against the
-    coordinates, and return the witnesses' text.  The profile distance sums
-    |a(key) - b(key)| over both profiles' keys.  A key carries its interval
-    length, so the sum splits into one distance per length between the two
-    length-l parts, which are built one length at a time (the identity's once):
-    O(n^2) bytes.  Each distance sums at most 2n^2 terms of size <= 2, each
-    rounded far below 1e-12, hence the tolerance n^2 * 1e-12."""
+    coordinates, and return the witnesses' text.  The grid distance sums the
+    n^2 chord lengths between the two complex grids, each rounded far below
+    1e-12, hence the tolerance n^2 * 1e-12.  The profile distance compares the
+    kept windows of the three inverses (the identity's and the two
+    witnesses') as whole keys, a few interval lengths at a time
+    (_window_profile_distances): an integer count over n, independent of the
+    run-length closed form, in O(n^2) bytes."""
     p = Permutation.identity(len(rows[0]))
     grid, witnesses = circle_grid(p), [_witness(row)[1] for row in rows]
     grids = [circle_grid_distance(grid, circle_grid(q)) for q in witnesses]
     del grid
-    profiles = np.zeros(len(witnesses))
-    for part, *parts in zip(_profile_parts(p), *map(_profile_parts, witnesses)):
-        profiles += [part.distance(other) for other in parts]
-    for name, closed, references in zip(("grid", "profile"), identity_distances(np.array(rows)), (grids, profiles)):
+    sigma = np.array(rows)
+    profiles = _window_profile_distances(sigma)
+    for name, closed, references in zip(("grid", "profile"), identity_distances(sigma), (grids, profiles)):
         for q, closed_form, reference in zip(witnesses, closed, references):
             if not isclose(closed_form, reference, rel_tol=1e-9, abs_tol=p.n * p.n * 1e-12):
                 raise PropertyViolation(f"closed-form {name} distance {float(closed_form)} of ({p}, {q}) "
@@ -233,15 +233,17 @@ def distortion_audit(
             d = table.dist[rank_rows(sigma)]
             checked, expansion, contraction = _score(sigma, d, d, scale1)
     else:
-        # per pair: the quotient, the bracket and the scores; and the largest stage: the kernel (its outputs
-        # outweigh the two drawn rows), identity_distances, or the witness re-check, whose traced peak at
+        # per pair: the narrow quotient, the bracket and the scores; and the largest stage: the two int64 draws
+        # with q's narrow copy, the kernel, identity_distances, or the witness re-check, whose traced peak at
         # n = 2..700 is two complex grids, their difference and its absolute value (56n^2) plus < 128n + 12 KB
-        m = sample_size
-        largest = max(_formula_batch_bytes(m, n), _identity_temp_bytes(m, n), 56 * n * n + 128 * n + 16_384)
-        check_memory(m * (8 * n + 49) + largest, f"the envelope audit of {m:,} pairs in Sym_{n}")
-        # each row is the rng.permutation(n) draw, in order, shuffled in place
+        m, cell = sample_size, _signed_cells(n)
+        largest = max((16 + cell.itemsize) * m * n, _formula_batch_bytes(m, n), _identity_temp_bytes(m, n),
+                      56 * n * n + 128 * n + 16_384)
+        check_memory(m * (cell.itemsize * n + 49) + largest, f"the envelope audit of {m:,} pairs in Sym_{n}")
+        # each row is the rng.permutation(n) draw, in order, shuffled in place: int64 rows shuffle faster
         draws = np.tile(np.arange(n), (2, m, 1))
-        sigma = _quotients(*rng.permuted(draws, axis=2, out=draws))
+        rng.permuted(draws, axis=2, out=draws)
+        sigma = _quotients(draws[0], draws[1].astype(cell))  # narrow, as the quotient takes q's dtype
         del draws
         checked, expansion, contraction = _score(sigma, *_bracket(*formula_terms_batch(sigma)), scale1)
 
@@ -422,10 +424,12 @@ def drift_walk(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if proxy == "formula":
         cell = np.min_scalar_type(n - 1)  # the entries of a walk row
-        # Per walker: draw, key, index (20), an int32 index per pending step, and 76 bytes of flags, counts and
-        # np.unique's order, mask and inverse, or of scored values; six rows outside the kernel (pending, the step's
-        # distinct, np.unique's input, copies, output), three beside it, whose outputs (16n a row) outweigh the rest.
-        check_memory(trials * (5 * n * cell.itemsize + 96 + 4 * _PENDING_STEPS) + _formula_batch_bytes(trials, n),
+        # Per walker: draw, key, index (20), an int32 index per step that can be pending (no more than the horizon),
+        # and 76 bytes of flags, counts and np.unique's order, mask and inverse, or of scored values; six rows outside
+        # the kernel (pending, the step's distinct, np.unique's input, copies, output), three beside it, whose outputs
+        # (16n a row) outweigh the rest.
+        index_bytes = 4 * min(horizon, _PENDING_STEPS)
+        check_memory(trials * (5 * n * cell.itemsize + 96 + index_bytes) + _formula_batch_bytes(trials, n),
                      f"the formula drift walk of {trials:,} walkers on Sym_{n}")
     else:  # the table; per walker: int8 row, offset, row start, rank (n + 24), draws, slot and the two
         # slots read (32), the values read, the letter mask and the swapped values (8), the int64 delta

@@ -7,8 +7,10 @@ the inverse permutation on every circular interval keyed only by (length,
 value list) -- the interval's position is forgotten -- skipping intervals whose
 interior contains 0; its distance tracks the diameter term.  Their weighted
 direct sum is the combined embedding that the distortion audits certify.
-CombinedPoint, combined_embed, combined_distance and SparseVector.l1_norm are
-kept as the scalar references that the tests compare the fast paths with.
+CombinedPoint, combined_embed, combined_distance, interval_profile,
+_profile_parts and SparseVector are kept as the scalar references that the
+tests compare the fast paths with: identity_distances, and the window count
+_window_profile_distances that re-checks the audits' witnesses.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .perms import Permutation, cycle_dist, inverse
+from .perms import Permutation, _signed_cells, cycle_dist, inverse
 
 __all__ = [
     "INTERIOR_MARGIN", "DEFAULT_GRID_SCALE",
@@ -43,6 +46,9 @@ DEFAULT_GRID_SCALE = 1.0 / (4.0 * math.pi)
 
 # Rows per chunk in identity_distances: its temporaries stay a few MB.
 _ROWS_PER_CHUNK = 4096
+
+# Window cells per inverse that _window_profile_distances takes in one batch of interval lengths.
+_WINDOW_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -160,6 +166,43 @@ def interval_profile(p: Permutation) -> SparseVector:
     return SparseVector({key: v for part in _profile_parts(p) for key, v in part.coords.items()})
 
 
+def _window_profile_distances(sigma: np.ndarray) -> np.ndarray:
+    """Profile distances from the identity to each one-line row, (m, n) ->
+    (m,), counted on the coordinates: the coordinate check of the closed form
+    in identity_distances, which the audits run on their witnesses.
+
+    A length-l key is the window of l inverse values from a kept start: 0 and
+    1..n - l + 1, as interior_contains_zero keeps them.  Both profiles put 1/n
+    on each of their keys, so the distance is 2 (N_kept - common) / n, where
+    common counts the identity's keys that the row's inverse shares, found by
+    np.intersect1d of whole windows viewed as one item each.  A part's keys
+    are distinct (each first value fixes its start), so each count is exact.
+    Lengths go in batches of _WINDOW_CELLS / n^2, windows padded with -1 to
+    the batch's longest length, which no key of another length can match; so
+    the arrays are O(n^2 + _WINDOW_CELLS) bytes at any degree, one length at
+    a time from n = 64 on.
+    """
+    m, n = sigma.shape
+    cells = _signed_cells(n)
+    k = np.arange(n, dtype=cells)
+    doubled = np.empty((m + 1, 2 * n), dtype=cells)  # the identity, then the rows' inverses, each twice
+    doubled[0, :n] = k
+    np.put_along_axis(doubled[1:, :n], sigma, k, axis=1)
+    doubled[:, n:] = doubled[:, :n]
+    per_batch = max(1, _WINDOW_CELLS // (n * n))
+    differ = np.zeros(m, dtype=np.int64)
+    for lo in range(1, n + 1, per_batch):
+        lengths = np.arange(lo, min(lo + per_batch, n + 1))
+        starts = np.minimum(n - lengths + 2, n)  # a length's kept starts, 0..n - l + 1
+        length, start = np.repeat(lengths, starts), np.concatenate([np.arange(count) for count in starts])
+        # the window of each kept start, a view of doubled[:, start + j] (start + j <= 2n - 2) copied by the gather
+        windows = as_strided(doubled, (m + 1, n, lengths[-1]), doubled.strides + doubled.strides[1:])[:, start]
+        windows[:, np.arange(lengths[-1]) >= length[:, None]] = -1
+        keys = windows.view(np.dtype((np.void, windows.shape[2] * windows.itemsize)))[..., 0]
+        differ += [len(length) - len(np.intersect1d(keys[0], other, assume_unique=True)) for other in keys[1:]]
+    return 2.0 * differ / n
+
+
 def combined_embed(p: Permutation, scale1: float = DEFAULT_GRID_SCALE) -> CombinedPoint:
     return CombinedPoint(circle_grid(p), interval_profile(p), scale1)
 
@@ -173,12 +216,16 @@ def combined_distance(a: CombinedPoint, b: CombinedPoint) -> float:
 
 
 def _identity_temp_bytes(m: int, n: int) -> int:
-    """Temporaries identity_distances holds at its peak, per row and column of
-    a chunk: its rows as int64 (8); the previous chunk's inverse, breaks and
-    runs until rebound, with this chunk's cells, histogram and temporaries
-    (24 + 32), or this chunk's three with the reduction's temporaries
-    (24 + 24); and the histogram's BLAS-packed copy (8), which stays resident."""
-    return 72 * n * min(m, _ROWS_PER_CHUNK)
+    """Bytes identity_distances holds at its peak: the kernel (8 a cell) and
+    the three 2n-value vectors it is read from (48n); per cell of a chunk,
+    its grid half's displacements and the last chunk's inverse and breaks (3
+    of the narrow itemsize), the histogram, its product with the kernel and
+    their product (24), and the histogram's BLAS-packed copy (8), which stays
+    resident; 40 bytes a row of per-row temporaries and offsets; and 128 KB
+    for the ufuncs' buffers (up to 66 KB were traced beyond the arrays).  The
+    profile half holds fewer per cell: 3 narrow and 3 bool."""
+    rows = min(m, _ROWS_PER_CHUNK)
+    return 8 * n * n + 48 * n + (3 * _signed_cells(n).itemsize + 32) * n * rows + 40 * rows + (1 << 17)
 
 
 def identity_distances(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +236,8 @@ def identity_distances(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     * grid: entry (k, r) of the two grids differs by the rotation a_k - a_r
       with a = s - id mod n, so the distance is h^T K h, where h is the
-      histogram of a and K[a, b] = 2|sin(pi (a - b) / n)|.
+      histogram of a and K[a, b] = 2|sin(pi (a - b) / n)|, read off the
+      2n - 1 values of a - b (the same floats as from the n^2 products).
     * profile: a key's first value fixes the interval's start (the inverse is
       injective), so no keys collide, every coordinate is 1/n and the
       distance is 2 (N_kept - common) / n.  Interval (start, length) is kept
@@ -200,28 +248,53 @@ def identity_distances(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       length of the unit-step run of s^-1 from u: s^-1(u + 1 mod n) - s^-1(u)
       is 1 or 1 - n along it, and it ends at the first break b >= u, so
       run(u) = b - u + 1.  With no break in [u, n) the run passes n - 1 -> 0,
-      and b = n gives n - u + 1 >= cap(u), which keeps the minimum.
+      and b = n gives n - u + 1 >= cap(u), which keeps the minimum.  Every
+      break is at most n, so run(u) <= cap(u) for u >= 1; at u = 0,
+      cap(s^-1(0)) <= n = cap(0) already caps it.  With cap(v) - 1 =
+      n - max(v, 1), common = n + sum_u min(b - u, n - max(s^-1(u), 1)),
+      whose terms lie in [0, n).
+
+    Rows are taken 4,096 at a time in the narrowest signed dtype that holds
+    [-n, n] (int8 up to n = 127, int16 above), whatever the input's integer
+    dtype: no int64 copy of a chunk is made, the histogram's flat cell index
+    aside.  The profile half runs on the (n, chunk) layout of the inverse, one
+    row per value u, so the first breaks come from a running minimum over the
+    rows, last to first, each step one vector operation on the chunk.  The
+    histogram and its float64 product with K are those of the int64 rows, so
+    the outputs are theirs bit for bit.
     """
-    m, n = np.shape(sigma)
-    k = np.arange(n)
-    kernel = 2.0 * np.abs(np.sin(np.pi * np.subtract.outer(k, k) / n))
-    cap = np.minimum(n - k + 1, n)
+    sigma = np.asarray(sigma)
+    m, n = sigma.shape
+    ring = 2.0 * np.abs(np.sin(np.pi * np.arange(1 - n, n) / n))  # K's entry at a - b = d, at d + n - 1
+    kernel = as_strided(ring, (n, n), ring.strides * 2)[:, ::-1].copy()  # row a: ring[a:a + n] reversed
+    cells = _signed_cells(n)
+    k = np.arange(n, dtype=cells)
+    value = k[:, None]  # the value u of each row of the (n, chunk) layout
+    kept = n + n * (n + 1) // 2 - 1  # sum of cap: n + (n + (n - 1) + ... + 2)
+    offsets = n * np.arange(min(m, _ROWS_PER_CHUNK))[:, None]  # histogram row r's cells start at n r
     grid, profile = np.empty(m), np.empty(m)
     for lo in range(0, m, _ROWS_PER_CHUNK):
-        rows = np.asarray(sigma[lo:lo + _ROWS_PER_CHUNK], dtype=np.int64)
-        cells = rows - k  # s(k) - k, plus n where negative, in histogram row r's cells from n r
-        cells += n * (cells < 0) + n * np.arange(len(rows))[:, None]
-        hist = np.bincount(cells.ravel(), minlength=cells.size).reshape(-1, n).astype(np.float64)
+        rows = sigma[lo:lo + _ROWS_PER_CHUNK]
+        disp = np.subtract(rows, k, dtype=cells, casting="unsafe", order="C")
+        disp += np.multiply(disp < 0, n, dtype=cells)  # s(k) - k mod n
+        hist = np.bincount((disp + offsets[:len(rows)]).ravel(), minlength=disp.size).reshape(-1, n).astype(np.float64)
         grid[lo:lo + _ROWS_PER_CHUNK] = ((hist @ kernel) * hist).sum(axis=1)
-        del cells, hist
-        inv = np.empty_like(rows)
-        np.put_along_axis(inv, rows, k, axis=1)
-        step = np.roll(inv, -1, axis=1) - inv
-        breaks = np.where((step == 1) | (step == 1 - n), n, k)  # a unit step is no break
+        del hist
+        np.put_along_axis(disp, rows, k, axis=1)  # the inverse rows, in place of the displacements
+        inv = disp.T.copy()
+        del disp
+        step = np.empty_like(inv)
+        np.subtract(inv[1:], inv[:-1], out=step[:-1])
+        np.subtract(inv[0], inv[-1], out=step[-1])
+        breaks = np.where((step == 1) | (step == 1 - n), n, value)  # a unit step is no break
         del step
-        run = np.minimum.accumulate(breaks[:, ::-1], axis=1)[:, ::-1] - k + 1
-        common = np.minimum(np.minimum(run, cap), cap[inv]).sum(axis=1)
-        profile[lo:lo + _ROWS_PER_CHUNK] = 2.0 * (cap.sum() - common) / n
+        for u in range(n - 2, -1, -1):  # breaks[u] becomes the first break b >= u
+            np.minimum(breaks[u], breaks[u + 1], out=breaks[u])
+        breaks -= value  # run(u) - 1
+        np.maximum(inv, 1, out=inv)
+        np.subtract(n, inv, out=inv)  # cap(s^-1(u)) - 1
+        common = n + np.minimum(breaks, inv, out=breaks).sum(axis=0, dtype=np.int64)
+        profile[lo:lo + _ROWS_PER_CHUNK] = 2.0 * (kept - common) / n
     return grid, profile
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .perms import Permutation, _block_degree, compose, inverse, perm_rank, unrank_rows
+from .perms import Permutation, _block_degree, _signed_cells, compose, inverse, perm_rank, unrank_rows
 
 __all__ = [
     "MEMORY_BUDGET", "ResourceLimitError", "check_memory",
@@ -255,11 +255,13 @@ def formula_distance(p: Permutation, q: Permutation) -> FormulaBreakdown:
 
 
 def _row_block(n: int, chunk: int) -> tuple[int, int]:
-    """Rows per block of formula_terms_batch, and a row's bytes at most: 4 int64
-    cells a position, and two heavy entries, each its displacement row and member
-    bits (9 a position), or the bits and the doubled ring (3) with, per member
-    (at most n // 2 + 2 of them), 6 live int64 values."""
-    row = 32 * n + 2 * (11 * n + 48 * min(n, n // 2 + 2) + 64)
+    """Rows per block of formula_terms_batch, and a row's bytes at most: a
+    narrow displacement and 3 int64 cells a position (the histogram, its float
+    cast and product), and two heavy entries, each its narrow displacement row
+    and member bits, or the bits and the doubled ring (3), with, per member (at
+    most n // 2 + 2 of them), 6 live int64 values."""
+    cell = _signed_cells(n).itemsize
+    row = (24 + cell) * n + 2 * ((cell + 3) * n + 48 * min(n, n // 2 + 2) + 64)
     return max(1, min(chunk, _FORMULA_BLOCK_BYTES // row)), row
 
 
@@ -299,14 +301,18 @@ def formula_terms_batch(perms: np.ndarray, chunk: int = _FORMULA_CHUNK) -> tuple
       x + h < 2n (x qualifies) on the ring of members j and j + n.  A block's
       rings are sorted keys 2n e + j: one np.searchsorted finds every near(x).
 
-    Rows are scored in blocks of at most `chunk`, fewer where a block's
-    temporaries would exceed _FORMULA_BLOCK_BYTES, straight into the outputs.
+    The displacements are taken in the narrowest signed dtype that holds
+    [-n, n] (int8 up to n = 127, int16 above), whatever the rows' integer dtype
+    (the drift walk passes uint8 and uint16 rows).  Rows are scored in blocks
+    of at most `chunk`, fewer where a block's temporaries would exceed
+    _FORMULA_BLOCK_BYTES, straight into the outputs.
     The float64 products and sums are of integers below 2**53, so they are
     exact whatever the block size.
     """
     perms = np.asarray(perms)
     m, n = perms.shape
     pos = np.arange(n)
+    cells = _signed_cells(n)
     dist0 = np.minimum(pos, n - pos)
     ring = np.concatenate([dist0, dist0]).astype(np.float64)
     circulant = sliding_window_view(ring, n)[:n].copy()  # C[d, l] = ring[d + l]
@@ -314,8 +320,8 @@ def formula_terms_batch(perms: np.ndarray, chunk: int = _FORMULA_CHUNK) -> tuple
     diams = np.full((m, n), n // 2, dtype=np.int64)
     block, _ = _row_block(n, chunk)
     for lo in range(0, m, block):
-        disp = perms[lo:lo + block] - pos
-        np.add(disp, n, out=disp, where=disp < 0)
+        disp = np.subtract(perms[lo:lo + block], pos, dtype=cells, casting="unsafe")
+        disp += np.multiply(disp < 0, n, dtype=cells)
         hist = np.bincount((np.arange(len(disp))[:, None] * n + disp).ravel(), minlength=disp.size).reshape(disp.shape)
         sums[lo:lo + block] = hist.astype(np.float64) @ circulant  # BLAS
         r, d = np.nonzero(hist >= n - n // 2)  # the heavy entries (2 hist >= n), by row and displacement

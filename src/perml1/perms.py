@@ -273,6 +273,13 @@ def _block_degree(n: int) -> int:
     return min(n, _BLOCK_DEGREE)
 
 
+def _signed_cells(n: int) -> np.dtype:
+    """The narrowest signed integer dtype holding every integer in [-n, n]:
+    int8 up to n = 127, int16 up to 32,767.  Array code takes displacements
+    p(k) - k and inverse rows of degree n in it."""
+    return np.min_scalar_type(-n - 1)
+
+
 def unrank_rows(n: int, ranks) -> np.ndarray:
     """Batch form of perm_unrank, (m,) ranks -> (m, n) int8 rows.  The digits
     come off last to first by divmod with radix 2, 3, ..., n; digit i is the

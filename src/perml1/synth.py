@@ -106,13 +106,17 @@ def word_transposition(n: int, k: int, m: int) -> GeneratorWord:
 
 
 class _Pieces(dict):
-    """piece(n, k) as a read-only tuple for each k asked for, built on first use."""
+    """piece(n, k) as a read-only tuple for each k asked for, built on first
+    use.  nbytes counts the bytes of the pieces built, bounded: 8 a letter
+    reference, 200 a piece for its tuple, key and dict slot (144 was measured
+    at n = 2,000)."""
 
     def __init__(self, n: int, piece):
-        self.n, self.piece = n, piece
+        self.n, self.piece, self.nbytes = n, piece, 0
 
     def __missing__(self, k: int) -> tuple[str, ...]:
         self[k] = letters = tuple(self.piece(self.n, k))
+        self.nbytes += 8 * len(letters) + 200
         return letters
 
 
@@ -185,8 +189,10 @@ def synthesize(p: Permutation) -> CertifiedWord:
     The word is checked against MEMORY_BUDGET before any letter is emitted:
     at most 17 bytes a letter of the bound in the word's list and tuple, and 8
     in the pieces it reads, whose letters, cancelled ones included, stayed
-    within 0.83 of the bound on every element tried.  A random element's
-    bound is about 1.47 n^2, so the refusal starts near n = 5,350.
+    within 0.83 of the bound on every element tried; and the pieces earlier
+    calls built at this degree, which _letter_tables keeps (_Pieces.nbytes:
+    40 MB after five random elements at n = 2,000).  A random element's bound
+    is about 1.47 n^2, so a first call is refused from near n = 5,350.
     """
     n = p.n
     sums, diams = _shift_terms(n, p.images)
@@ -194,8 +200,11 @@ def synthesize(p: Permutation) -> CertifiedWord:
     best = min(weighted)
     l_star = weighted.index(best)
     bound = cycle_dist(n, 0, l_star) + best + n
-    # 25 a letter; per point the terms, rebased images, sweep and stream, and two pieces' headers; the call's objects
-    check_memory(25 * bound + 500 * n + 4096, f"the word of at most {bound:,} letters for an element of Sym_{n}")
+    rotations, swaps = _letter_tables(n)  # the last degree's tables are dropped
+    # 25 a letter; per point the terms, rebased images, sweep and stream, and two pieces' headers; the call's objects;
+    # the pieces that earlier calls left in this degree's tables
+    check_memory(25 * bound + 500 * n + 4096 + rotations.nbytes + swaps.nbytes,
+                 f"the word of at most {bound:,} letters for an element of Sym_{n}")
 
     rebased = [(x + l_star) % n for x in p.images]  # c^l_star * p
     stream: list[tuple[int, int]] = []
@@ -208,5 +217,5 @@ def synthesize(p: Permutation) -> CertifiedWord:
             stream.append((a, b))
             seen[b] = True
             a = b
-    letters = _emit_transposition_stream(n, stream, list(_letter_tables(n)[0][-l_star % n]))
+    letters = _emit_transposition_stream(n, stream, list(rotations[-l_star % n]))
     return CertifiedWord(GeneratorWord._of_letters(n, tuple(letters)), p, bound, l_star)

@@ -27,6 +27,19 @@ def tau(n):
     return Permutation(n, (1, 0) + tuple(range(n - 1, 1, -1)))
 
 
+def narrow_cases(n):
+    """int64 rows of Sym_n with runs and breaks: seeded elements, the identity,
+    c, c^-1 and the reversal."""
+    rng = np.random.default_rng(n)
+    k = np.arange(n)
+    return np.array([*(rng.permutation(n) for _ in range(40)), k, np.roll(k, 1), np.roll(k, -1), k[::-1]])
+
+
+def fitting_dtypes(n):
+    """The integer dtypes that hold the values 0..n-1."""
+    return [d for d in (np.int8, np.uint8, np.int16, np.uint16, np.int64) if np.iinfo(d).max >= n - 1]
+
+
 def generator_edges(n):
     """Grid and profile parts of d(p, g p) for g = t, c, c^-1, each an array in
     that order, scored on the rows generator_neighbors_rows gives for the

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import generator_edges
 
-from perml1 import audits, metric
+from perml1 import audits, embed, metric
 from perml1.audits import (
     CubeAuditReport,
     DistortionReport,
@@ -204,6 +204,29 @@ class TestDistortionExact:
             with pytest.raises(PropertyViolation, match=f"closed-form {part} distance .* coordinate distance"):
                 distortion_audit(4)
 
+    @pytest.mark.parametrize("call", [
+        lambda: distortion_audit(5),
+        lambda: distortion_audit(20, mode="envelope", sample_size=200, seed=1),
+        lambda: distortion_audit(200, mode="envelope", sample_size=20, seed=1),
+    ], ids=["exact5", "envelope20", "envelope200"])
+    def test_profile_off_by_one_key_is_a_violation(self, call, monkeypatch):
+        # a closed-form profile 1/n too large, one key's coordinate, fails the window count
+        closed_form = audits.identity_distances
+
+        def shifted(sigma):
+            grid, profile = closed_form(sigma)
+            return grid, profile + 1 / sigma.shape[1]
+
+        monkeypatch.setattr(audits, "identity_distances", shifted)
+        with pytest.raises(PropertyViolation, match="closed-form profile distance .* coordinate distance"):
+            call()
+
+    def test_witness_recheck_builds_no_dict_profile(self, monkeypatch):
+        # the re-check counts whole windows in arrays; the dict profile is the tests' reference only
+        monkeypatch.setattr(embed.SparseVector, "distance", lambda self, other: pytest.fail("dict profile built"))
+        distortion_audit(6)
+        distortion_audit(40, mode="envelope", sample_size=100, seed=2)
+
     def test_degree_two_collapse_is_a_violation(self):
         # both elements of Sym_2 land on one point, so no distortion exists
         with pytest.raises(PropertyViolation, match="0,1 and 1,0"):
@@ -267,6 +290,15 @@ class TestDistortionEnvelope:
         report = distortion_audit(15, mode="envelope", sample_size=300, seed=1)
         assert report.pairs_checked <= 300
         assert np.isfinite(report.distortion)
+
+
+    @pytest.mark.parametrize("n, dtype", [(8, np.int8), (127, np.int8), (128, np.int16), (300, np.int16)])
+    def test_scores_narrow_rows(self, n, dtype, monkeypatch):
+        # the draws are int64 rows, which shuffle fastest; the quotient is taken in the narrow dtype
+        scored, score = [], audits._score
+        monkeypatch.setattr(audits, "_score", lambda sigma, *rest: scored.append(sigma.dtype) or score(sigma, *rest))
+        distortion_audit(n, mode="envelope", sample_size=30, seed=4)
+        assert scored == [np.dtype(dtype)]
 
 
 class TestQuotients:
@@ -333,6 +365,15 @@ class TestMemoryBudget:
         peak, largest = traced_peak_and_largest_check(lambda: drift_walk(3, 40, 100_000, seed=1))
         assert peak <= largest
 
+    def test_formula_drift_walk_charges_the_pending_steps_it_can_hold(self, monkeypatch):
+        # an int32 walker index per pending step: at most min(horizon, _PENDING_STEPS) steps are pending
+        checked = []
+        monkeypatch.setattr(audits, "check_memory", lambda nbytes, what: checked.append(nbytes))
+        horizons = (0, 1, 10, 16, 17, 40)
+        for horizon in horizons:
+            drift_walk(40, horizon, 500, seed=1)
+        assert [c - checked[0] for c in checked] == [4 * 500 * min(h, audits._PENDING_STEPS) for h in horizons]
+
     def test_bfs_drift_walk(self, traced_peak_and_largest_check):
         peak, largest = traced_peak_and_largest_check(lambda: drift_walk(8, 5, 20000, seed=1, proxy="bfs"))
         assert peak <= largest
@@ -355,7 +396,7 @@ class TestMemoryBudget:
         assert peak <= largest
 
     @pytest.mark.parametrize("call, what", [
-        (lambda: distortion_audit(2015, mode="envelope"), "envelope audit of 20,000 pairs in Sym_2015 needs"),
+        (lambda: distortion_audit(2531, mode="envelope"), "envelope audit of 20,000 pairs in Sym_2531 needs"),
         (lambda: drift_walk(100, 1, 10 ** 6), "formula drift walk of 1,000,000 walkers on Sym_100 needs"),
         (lambda: cube_audit(40), "cube audit of 820 classes at degree 6400 needs"),
     ], ids=["envelope", "drift", "cube"])

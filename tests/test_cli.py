@@ -9,7 +9,7 @@ import shlex
 import numpy as np
 import pytest
 
-from perml1 import cli, metric
+from perml1 import cli, metric, synth
 from perml1.cli import _csv_lines, main
 from perml1.perms import GeneratorWord, all_permutations
 from perml1.synth import synthesize
@@ -295,6 +295,7 @@ class TestBudget:
         assert code == 0 and data["eval_ok"] is True and data["bfs_distance"] is None
 
     def test_synth_stops_at_the_budget(self, capsys, low_budget):
+        synth._letter_tables.cache_clear()  # as in a fresh process: no pieces of earlier calls are charged
         code, out, err = run_cli(capsys, "synth", "--perm", "1,0,3,2,5,4")
         assert code == 1 and out == ""
         assert "the word of at most 48 letters for an element of Sym_6 needs 8,296 bytes" in err

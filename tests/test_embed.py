@@ -6,12 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import generator_edges, seeded_elements, tau
+from conftest import fitting_dtypes, generator_edges, narrow_cases, seeded_elements, tau
 
+from perml1 import embed
 from perml1.embed import (
     DEFAULT_GRID_SCALE,
     CircleGrid,
     _profile_parts,
+    _window_profile_distances,
     avg_vs_min_check,
     circle_grid,
     circle_grid_distance,
@@ -23,6 +25,7 @@ from perml1.embed import (
     interval_profile,
     realize_grid,
 )
+from perml1.metric import formula_terms_batch
 from perml1.perms import (
     Permutation,
     all_permutations,
@@ -395,6 +398,49 @@ class TestIdentityDistances:
         # no interval has an interior and the grid of t is a rotation of id's
         grid, profile = identity_distances(np.array([[0, 1], [1, 0]]))
         assert grid.tolist() == profile.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 126, 127, 128, 255, 256])
+    def test_every_integer_dtype_gives_the_int64_arrays(self, n):
+        # the rows are taken in int8 up to degree 127 and in int16 above, whatever their dtype;
+        # unrank_rows hands over column-major rows, so that layout is scored too
+        rows = narrow_cases(n)
+        want = identity_distances(rows)
+        for dtype in fitting_dtypes(n):
+            for cast in (rows.astype(dtype), np.asfortranarray(rows, dtype=dtype)):
+                got = identity_distances(cast)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), dtype
+
+
+class TestWindowProfileDistances:
+    """The witness re-check's profile distance, counted on whole windows of the
+    inverses, against the dict reference: the SparseVector distances of the
+    per-length parts."""
+
+    @staticmethod
+    def assert_matches_the_dict_reference(n, elements):
+        identity = Permutation.identity(n)
+        rows = np.array([p.images for p in elements], dtype=np.int64).reshape(-1, n)
+        got = _window_profile_distances(rows)
+        want = [sum(a.distance(b) for a, b in zip(_profile_parts(identity), _profile_parts(p))) for p in elements]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+        # both count integers over n, so the closed form agrees bit for bit
+        assert np.array_equal(got, identity_distances(rows)[1])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_all_elements(self, n):
+        self.assert_matches_the_dict_reference(n, list(all_permutations(n)))
+
+    @pytest.mark.parametrize("n, count", [(20, 40), (100, 4), (300, 2)])
+    def test_seeded_elements(self, n, count):
+        self.assert_matches_the_dict_reference(n, [*seeded_elements(n, count), tau(n)])
+
+    @pytest.mark.parametrize("n", [3, 9, 40])
+    def test_batches_of_lengths_match_one_length_at_a_time(self, n, monkeypatch):
+        # below degree 64 several lengths share a batch, their windows padded with -1
+        rows = np.array([p.images for p in [*seeded_elements(n, 5), tau(n)]])
+        batched = _window_profile_distances(rows)
+        monkeypatch.setattr(embed, "_WINDOW_CELLS", 1)
+        assert np.array_equal(batched, _window_profile_distances(rows))
 
 class TestCircleMedian:
     def test_singleton(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seeded_elements, tau
+from conftest import fitting_dtypes, narrow_cases, seeded_elements, tau
 
 from perml1 import metric
 from perml1.metric import (
@@ -460,6 +460,16 @@ class TestBatch:
             near_rotations.append(row)
         rows = np.array([rng.permutation(n), rng.permutation(n), np.arange(n)] + near_rotations)
         self._assert_matches_scalar(rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 126, 127, 128, 255, 256])
+    def test_every_integer_dtype_gives_the_int64_arrays(self, n):
+        # the displacements are int8 up to degree 127 and int16 above, whatever the rows' dtype:
+        # the drift walk passes uint8 and uint16 rows, the audits int8 and int16 ones
+        rows = narrow_cases(n)
+        want = formula_terms_batch(rows)
+        for dtype in fitting_dtypes(n):
+            got = formula_terms_batch(rows.astype(dtype))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), dtype
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 130).flatmap(lambda n: st.permutations(range(n))))

@@ -278,6 +278,25 @@ class TestMemoryBudget:
         peak, largest = traced_peak_and_largest_check(call)
         assert peak <= largest
 
+    @pytest.mark.parametrize("n", [40, 500])
+    def test_charge_covers_the_tables(self, n, monkeypatch):
+        # the pieces that earlier calls left in _letter_tables are charged to the next call at their degree
+        p, *others = seeded_elements(n, 6)
+        checked, check = [], synth.check_memory
+        monkeypatch.setattr(synth, "check_memory", lambda nbytes, what: checked.append(nbytes) or check(nbytes, what))
+        tracemalloc.start()
+        try:
+            synth._letter_tables.cache_clear()
+            base = tracemalloc.get_traced_memory()[0]
+            synthesize(p)  # nothing held at the check
+            for q in others:
+                synthesize(q)
+            held = tracemalloc.get_traced_memory()[0] - base
+            synthesize(p)
+        finally:
+            tracemalloc.stop()
+        assert held <= checked[-1] - checked[0] <= 2 * held
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_pieces_within_the_bound(self, n, monkeypatch):
         # the check counts the letters of the pieces a word reads, cancelled ones included,
@@ -292,7 +311,7 @@ class TestMemoryBudget:
     def test_refused_before_any_letter(self, monkeypatch):
         # tau(1000)'s bound is 1,502,000 letters: 38 MB checked, over a 16 MiB budget
         monkeypatch.setattr(metric, "MEMORY_BUDGET", 1 << 24)
-        monkeypatch.setattr(synth, "_letter_tables", lambda n: pytest.fail("pieces built"))
+        monkeypatch.setattr(synth._Pieces, "__missing__", lambda self, k: pytest.fail("pieces built"))
         what = "the word of at most 1,502,000 letters for an element of Sym_1000 needs"
         with pytest.raises(ResourceLimitError, match=what):
             synthesize(tau(1000))
