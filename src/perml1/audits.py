@@ -129,9 +129,10 @@ def _check_witnesses(*rows: np.ndarray) -> list[tuple[str, str]]:
     n^2 chord lengths between the two complex grids, each rounded far below
     1e-12, hence the tolerance n^2 * 1e-12.  The profile distance compares the
     kept windows of the three inverses (the identity's and the two
-    witnesses') as whole keys, a few interval lengths at a time
-    (_window_profile_distances): an integer count over n, independent of the
-    run-length closed form, in O(n^2) bytes."""
+    witnesses') as whole keys, one interval length at a time, by a sorted
+    search of the identity's keys (_window_profile_distances): an integer
+    count over n, independent of the run-length closed form, in O(n^2)
+    bytes."""
     p = Permutation.identity(len(rows[0]))
     grid, witnesses = circle_grid(p), [_witness(row)[1] for row in rows]
     grids = [circle_grid_distance(grid, circle_grid(q)) for q in witnesses]
@@ -319,12 +320,13 @@ def cube_audit(n: int) -> CubeAuditReport:
     if n < 1:
         raise ValueError(f"cube dimension must be >= 1, got {n}")
     degree, rows = 4 * n * n, n * (n + 1) // 2
+    cell = _signed_cells(degree)
     # the bits and sigma live through the kernel, and the bracket reduces its outputs in place
-    check_memory(8 * rows * (n + degree) + _formula_batch_bytes(rows, degree),
+    check_memory(rows * (n + cell.itemsize * degree) + _formula_batch_bytes(rows, degree),
                  f"the cube audit of {rows:,} classes at degree {degree}")
     top, low = np.nonzero(np.tri(n, dtype=bool))  # each class's i and h - 1
     bits = (np.arange(n) < low[:, None]) | (np.arange(n) == top[:, None])
-    sigma = np.tile(np.arange(degree), (rows, 1))  # hamming_embed: swap columns i and n + i where bit i is set
+    sigma = np.tile(np.arange(degree, dtype=cell), (rows, 1))  # hamming_embed: swap i and n + i where bit i is set
     sigma[:, :n] += n * bits
     sigma[:, n:2 * n] -= n * bits
     sums, diams = formula_terms_batch(sigma)

@@ -47,9 +47,6 @@ DEFAULT_GRID_SCALE = 1.0 / (4.0 * math.pi)
 # Rows per chunk in identity_distances: its temporaries stay a few MB.
 _ROWS_PER_CHUNK = 4096
 
-# Window cells per inverse that _window_profile_distances takes in one batch of interval lengths.
-_WINDOW_CELLS = 4096
-
 
 @dataclass(frozen=True)
 class CircleGrid:
@@ -174,13 +171,13 @@ def _window_profile_distances(sigma: np.ndarray) -> np.ndarray:
     A length-l key is the window of l inverse values from a kept start: 0 and
     1..n - l + 1, as interior_contains_zero keeps them.  Both profiles put 1/n
     on each of their keys, so the distance is 2 (N_kept - common) / n, where
-    common counts the identity's keys that the row's inverse shares, found by
-    np.intersect1d of whole windows viewed as one item each.  A part's keys
-    are distinct (each first value fixes its start), so each count is exact.
-    Lengths go in batches of _WINDOW_CELLS / n^2, windows padded with -1 to
-    the batch's longest length, which no key of another length can match; so
-    the arrays are O(n^2 + _WINDOW_CELLS) bytes at any degree, one length at
-    a time from n = 64 on.
+    common counts the identity's keys that the row's inverse shares.  One
+    interval length at a time, the kept windows are sliced from one strided
+    view of the doubled inverses, copied and viewed as one item each; the
+    identity's are sorted and every row's are looked up in them by binary
+    search.  A part's keys are
+    distinct (each first value fixes its start), so each count is exact, and
+    the arrays hold O(n^2) cells per length.
     """
     m, n = sigma.shape
     cells = _signed_cells(n)
@@ -189,17 +186,13 @@ def _window_profile_distances(sigma: np.ndarray) -> np.ndarray:
     doubled[0, :n] = k
     np.put_along_axis(doubled[1:, :n], sigma, k, axis=1)
     doubled[:, n:] = doubled[:, :n]
-    per_batch = max(1, _WINDOW_CELLS // (n * n))
+    full = as_strided(doubled, (m + 1, n, n), doubled.strides + doubled.strides[1:])  # [:, u] is columns u..u + n - 1
     differ = np.zeros(m, dtype=np.int64)
-    for lo in range(1, n + 1, per_batch):
-        lengths = np.arange(lo, min(lo + per_batch, n + 1))
-        starts = np.minimum(n - lengths + 2, n)  # a length's kept starts, 0..n - l + 1
-        length, start = np.repeat(lengths, starts), np.concatenate([np.arange(count) for count in starts])
-        # the window of each kept start, a view of doubled[:, start + j] (start + j <= 2n - 2) copied by the gather
-        windows = as_strided(doubled, (m + 1, n, lengths[-1]), doubled.strides + doubled.strides[1:])[:, start]
-        windows[:, np.arange(lengths[-1]) >= length[:, None]] = -1
-        keys = windows.view(np.dtype((np.void, windows.shape[2] * windows.itemsize)))[..., 0]
-        differ += [len(length) - len(np.intersect1d(keys[0], other, assume_unique=True)) for other in keys[1:]]
+    for length in range(1, n + 1):
+        windows = full[:, :min(n - length + 2, n), :length].copy()  # from the kept starts, 0..n - l + 1
+        keys = windows.view(np.dtype((np.void, length * windows.itemsize)))[..., 0]
+        ident = np.sort(keys[0])
+        differ += len(ident) - (ident.take(np.searchsorted(ident, keys[1:]), mode="clip") == keys[1:]).sum(axis=1)
     return 2.0 * differ / n
 
 

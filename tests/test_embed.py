@@ -8,7 +8,6 @@ import pytest
 
 from conftest import fitting_dtypes, generator_edges, narrow_cases, seeded_elements, tau
 
-from perml1 import embed
 from perml1.embed import (
     DEFAULT_GRID_SCALE,
     CircleGrid,
@@ -430,17 +429,16 @@ class TestWindowProfileDistances:
     def test_all_elements(self, n):
         self.assert_matches_the_dict_reference(n, list(all_permutations(n)))
 
-    @pytest.mark.parametrize("n, count", [(20, 40), (100, 4), (300, 2)])
+    @pytest.mark.parametrize("n, count", [(9, 5), (20, 40), (40, 5), (100, 4), (300, 2)])
     def test_seeded_elements(self, n, count):
         self.assert_matches_the_dict_reference(n, [*seeded_elements(n, count), tau(n)])
 
-    @pytest.mark.parametrize("n", [3, 9, 40])
-    def test_batches_of_lengths_match_one_length_at_a_time(self, n, monkeypatch):
-        # below degree 64 several lengths share a batch, their windows padded with -1
-        rows = np.array([p.images for p in [*seeded_elements(n, 5), tau(n)]])
-        batched = _window_profile_distances(rows)
-        monkeypatch.setattr(embed, "_WINDOW_CELLS", 1)
-        assert np.array_equal(batched, _window_profile_distances(rows))
+    @pytest.mark.parametrize("n", [700, 1000])
+    def test_closed_form_bit_for_bit_at_high_degree(self, n):
+        # int16 windows of up to n values each, beyond the dict reference's reach
+        rows = np.array([p.images for p in [*seeded_elements(n, 2), tau(n)]])
+        assert np.array_equal(_window_profile_distances(rows), identity_distances(rows)[1])
+
 
 class TestCircleMedian:
     def test_singleton(self):
