@@ -28,11 +28,9 @@ import numpy as np
 from . import __version__
 from .embed import (
     DEFAULT_GRID_SCALE,
+    _coordinate_distances,
     _identity_temp_bytes,
-    _window_profile_distances,
     check_scale1,
-    circle_grid,
-    circle_grid_distance,
     identity_distances,
 )
 from .embed import interval_profile  # noqa: F401  the benchmark's tracer (perfbench/spans.py) wraps this binding
@@ -120,31 +118,24 @@ def _quotients(p_rows: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
 
 def _witness(row: np.ndarray) -> tuple[Permutation, Permutation]:
     n = len(row)
-    return Permutation.identity(n), Permutation(n, tuple(int(x) for x in row))
+    return Permutation.identity(n), Permutation(n, tuple(row.tolist()))
 
 
 def _check_witnesses(*rows: np.ndarray) -> list[tuple[str, str]]:
-    """Check each witness's closed-form grid and profile distances against the
-    coordinates, and return the witnesses' text.  The grid distance sums the
-    n^2 chord lengths between the two complex grids, each rounded far below
-    1e-12, hence the tolerance n^2 * 1e-12.  The profile distance compares the
-    kept windows of the three inverses (the identity's and the two
-    witnesses') as whole keys, one interval length at a time, by a sorted
-    search of the identity's keys (_window_profile_distances): an integer
-    count over n, independent of the run-length closed form, in O(n^2)
-    bytes."""
-    p = Permutation.identity(len(rows[0]))
-    grid, witnesses = circle_grid(p), [_witness(row)[1] for row in rows]
-    grids = [circle_grid_distance(grid, circle_grid(q)) for q in witnesses]
-    del grid
+    """Check each witness's closed-form grid and profile distances
+    (identity_distances) against its coordinate distances
+    (_coordinate_distances), and return the witnesses' text.  The coordinate
+    grid distance sums n^2 chord lengths, each rounded far below 1e-12, hence
+    the tolerance n^2 * 1e-12; the profile distance is an integer count over
+    n, independent of the run-length closed form."""
     sigma = np.array(rows)
-    profiles = _window_profile_distances(sigma)
-    for name, closed, references in zip(("grid", "profile"), identity_distances(sigma), (grids, profiles)):
-        for q, closed_form, reference in zip(witnesses, closed, references):
+    pairs = [_witness(row) for row in rows]
+    for name, closed, references in zip(("grid", "profile"), identity_distances(sigma), _coordinate_distances(sigma)):
+        for (p, q), closed_form, reference in zip(pairs, closed, references):
             if not isclose(closed_form, reference, rel_tol=1e-9, abs_tol=p.n * p.n * 1e-12):
                 raise PropertyViolation(f"closed-form {name} distance {float(closed_form)} of ({p}, {q}) "
                                         f"differs from the coordinate distance {float(reference)}")
-    return [(str(p), str(q)) for q in witnesses]
+    return [(str(p), str(q)) for p, q in pairs]
 
 
 def _score(sigma: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray,

@@ -7,10 +7,11 @@ the inverse permutation on every circular interval keyed only by (length,
 value list) -- the interval's position is forgotten -- skipping intervals whose
 interior contains 0; its distance tracks the diameter term.  Their weighted
 direct sum is the combined embedding that the distortion audits certify.
-CombinedPoint, combined_embed, combined_distance, interval_profile,
-_profile_parts and SparseVector are kept as the scalar references that the
-tests compare the fast paths with: identity_distances, and the window count
-_window_profile_distances that re-checks the audits' witnesses.
+CombinedPoint, combined_embed, combined_distance, interval_profile and
+SparseVector are kept as the scalar references that the tests compare the
+closed forms of identity_distances with; _coordinate_distances, its
+coordinate twin, sums the chords and counts the windows on the audits'
+witnesses.
 """
 
 from __future__ import annotations
@@ -145,41 +146,40 @@ def interior_contains_zero(n: int, start: int, length: int) -> bool:
     return INTERIOR_MARGIN <= offset <= length - 1 - INTERIOR_MARGIN
 
 
-def _profile_parts(p: Permutation) -> Iterator[SparseVector]:
-    """The profile's coordinates one interval length at a time, lengths 1..n:
-    1/n at (length, inverse values along the interval) for every interval of
-    that length whose interior avoids 0.  The inverse is injective, so the
-    first value fixes the start and no two intervals share a key."""
-    n = p.n
-    pinv = inverse(p).images
-    doubled = pinv + pinv  # wrap-free slicing windows
-    for length in range(1, n + 1):
-        yield SparseVector({IntervalKey(length, doubled[start:start + length]): 1.0 / n
-                            for start in range(n) if not interior_contains_zero(n, start, length)})
-
-
 def interval_profile(p: Permutation) -> SparseVector:
-    """The union of the per-length parts: a key carries its length, so no key is in two parts."""
-    return SparseVector({key: v for part in _profile_parts(p) for key, v in part.coords.items()})
+    """1/n at (length, inverse values along the interval) for every interval
+    whose interior avoids 0, lengths 1..n, each from start 0 up.  The inverse
+    is injective, so the first value fixes the start and no two intervals
+    share a key."""
+    n = p.n
+    doubled = inverse(p).images * 2  # wrap-free slicing windows
+    return SparseVector({IntervalKey(length, doubled[start:start + length]): 1.0 / n
+                         for length in range(1, n + 1) for start in range(n)
+                         if not interior_contains_zero(n, start, length)})
 
 
-def _window_profile_distances(sigma: np.ndarray) -> np.ndarray:
-    """Profile distances from the identity to each one-line row, (m, n) ->
-    (m,), counted on the coordinates: the coordinate check of the closed form
-    in identity_distances, which the audits run on their witnesses.
+def _coordinate_distances(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid and profile distances from the identity to each one-line row,
+    (m, n) -> two (m,) arrays, counted on the coordinates: the coordinate twin
+    of identity_distances, which the audits run on their witnesses.  Each grid
+    distance sums a row's n^2 chords against the identity's circle_grid, one
+    row's grid at a time, and the identity's grid is dropped before the windows.
 
-    A length-l key is the window of l inverse values from a kept start: 0 and
-    1..n - l + 1, as interior_contains_zero keeps them.  Both profiles put 1/n
-    on each of their keys, so the distance is 2 (N_kept - common) / n, where
-    common counts the identity's keys that the row's inverse shares.  One
-    interval length at a time, the kept windows are sliced from one strided
-    view of the doubled inverses, copied and viewed as one item each; the
-    identity's are sorted and every row's are looked up in them by binary
-    search.  A part's keys are
-    distinct (each first value fixes its start), so each count is exact, and
-    the arrays hold O(n^2) cells per length.
+    A length-l profile key is the window of l inverse values from a kept
+    start: 0 and 1..n - l + 1, as interior_contains_zero keeps them.  Both
+    profiles put 1/n on each of their keys, so the distance is
+    2 (N_kept - common) / n, where common counts the identity's keys that the
+    row's inverse shares.  One interval length at a time, the kept windows are
+    sliced from one strided view of the doubled inverses, copied and viewed as
+    one item each; the identity's are sorted and every row's are looked up in
+    them by binary search.  A length's keys are distinct (each first value
+    fixes its start), so each count is exact, and the arrays hold O(n^2) cells
+    per length.
     """
     m, n = sigma.shape
+    base = circle_grid(Permutation.identity(n))
+    grid = np.array([circle_grid_distance(base, circle_grid(Permutation(n, tuple(row.tolist())))) for row in sigma])
+    del base
     cells = _signed_cells(n)
     k = np.arange(n, dtype=cells)
     doubled = np.empty((m + 1, 2 * n), dtype=cells)  # the identity, then the rows' inverses, each twice
@@ -193,7 +193,7 @@ def _window_profile_distances(sigma: np.ndarray) -> np.ndarray:
         keys = windows.view(np.dtype((np.void, length * windows.itemsize)))[..., 0]
         ident = np.sort(keys[0])
         differ += len(ident) - (ident.take(np.searchsorted(ident, keys[1:]), mode="clip") == keys[1:]).sum(axis=1)
-    return 2.0 * differ / n
+    return grid, 2.0 * differ / n
 
 
 def combined_embed(p: Permutation, scale1: float = DEFAULT_GRID_SCALE) -> CombinedPoint:

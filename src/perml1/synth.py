@@ -83,8 +83,6 @@ def word_transposition_from_zero(n: int, l: int) -> GeneratorWord:
     on the far side the mirrored form built from t' = c^-1 t c is shorter.
     The two forms meet at l = floor(n/2), chosen by emitted length.
     """
-    if l % n == 0:
-        raise ValueError("(0 0) is not a transposition")
     return word_transposition(n, 0, l)
 
 

@@ -335,7 +335,7 @@ class TestMemoryBudget:
         assert peak <= largest
 
     def test_envelope_witness_profiles(self, traced_peak_and_largest_check):
-        # few pairs at a high degree, where the witness re-check's grids and per-length profile parts
+        # few pairs at a high degree, where the witness re-check's grids and interval windows
         # are a large share of the peak
         call = lambda: distortion_audit(100, mode="envelope", sample_size=100, seed=1)  # noqa: E731
         peak, largest = traced_peak_and_largest_check(call)

@@ -11,8 +11,7 @@ from conftest import fitting_dtypes, generator_edges, narrow_cases, seeded_eleme
 from perml1.embed import (
     DEFAULT_GRID_SCALE,
     CircleGrid,
-    _profile_parts,
-    _window_profile_distances,
+    _coordinate_distances,
     avg_vs_min_check,
     circle_grid,
     circle_grid_distance,
@@ -168,31 +167,10 @@ class TestIntervalProfile:
             assert interval_profile(p).l1_norm() == pytest.approx(expected)
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_parts_are_the_profile_by_length(self, n):
+    def test_matches_the_oracle(self, n):
         # every element up to degree 6, seeded ones at 7 and 8
-        elements = all_permutations(n) if n <= 6 else seeded_elements(n, 30)
-        for p in elements:
-            parts = list(_profile_parts(p))
-            assert [{key.length for key in part.coords} for part in parts] == [{length} for length in range(1, n + 1)]
-            reference = oracle_profile(p)
-            assert {key: v for part in parts for key, v in part.coords.items()} == reference
-            assert interval_profile(p).coords == reference
-
-    @staticmethod
-    def assert_per_length_distance(n, elements):
-        identity = Permutation.identity(n)
-        whole = interval_profile(identity)
-        for q in elements:
-            per_length = sum(a.distance(b) for a, b in zip(_profile_parts(identity), _profile_parts(q)))
-            assert per_length == pytest.approx(whole.distance(interval_profile(q)), rel=1e-12, abs=0)
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_per_length_distance_is_the_distance_on_all_elements(self, n):
-        self.assert_per_length_distance(n, all_permutations(n))
-
-    def test_per_length_distance_is_the_distance_beyond(self):
-        for n in range(7, 65):
-            self.assert_per_length_distance(n, [*seeded_elements(n, 3), tau(n)])
+        for p in all_permutations(n) if n <= 6 else seeded_elements(n, 30):
+            assert interval_profile(p).coords == oracle_profile(p)
 
     def test_distance_reflexive(self):
         v = interval_profile(Permutation(5, (2, 0, 4, 1, 3)))
@@ -411,33 +389,38 @@ class TestIdentityDistances:
 
 
 class TestWindowProfileDistances:
-    """The witness re-check's profile distance, counted on whole windows of the
-    inverses, against the dict reference: the SparseVector distances of the
-    per-length parts."""
+    """The witness re-check's coordinate distances (_coordinate_distances):
+    the grid against circle_grid_distance, and the profile, counted on whole
+    windows of the inverses, against the SparseVector distance of the
+    interval profiles."""
 
     @staticmethod
-    def assert_matches_the_dict_reference(n, elements):
+    def assert_matches_the_coordinates(n, elements):
         identity = Permutation.identity(n)
         rows = np.array([p.images for p in elements], dtype=np.int64).reshape(-1, n)
-        got = _window_profile_distances(rows)
-        want = [sum(a.distance(b) for a, b in zip(_profile_parts(identity), _profile_parts(p))) for p in elements]
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+        grid, profile = _coordinate_distances(rows)
+        base, origin = circle_grid(identity), interval_profile(identity)
+        assert grid.tolist() == [circle_grid_distance(base, circle_grid(p)) for p in elements]
+        want = [origin.distance(interval_profile(p)) for p in elements]
+        np.testing.assert_allclose(profile, want, rtol=1e-9, atol=0)
         # both count integers over n, so the closed form agrees bit for bit
-        assert np.array_equal(got, identity_distances(rows)[1])
+        assert np.array_equal(profile, identity_distances(rows)[1])
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_all_elements(self, n):
-        self.assert_matches_the_dict_reference(n, list(all_permutations(n)))
+        self.assert_matches_the_coordinates(n, list(all_permutations(n)))
 
     @pytest.mark.parametrize("n, count", [(9, 5), (20, 40), (40, 5), (100, 4), (300, 2)])
     def test_seeded_elements(self, n, count):
-        self.assert_matches_the_dict_reference(n, [*seeded_elements(n, count), tau(n)])
+        self.assert_matches_the_coordinates(n, [*seeded_elements(n, count), tau(n)])
 
     @pytest.mark.parametrize("n", [700, 1000])
     def test_closed_form_bit_for_bit_at_high_degree(self, n):
         # int16 windows of up to n values each, beyond the dict reference's reach
         rows = np.array([p.images for p in [*seeded_elements(n, 2), tau(n)]])
-        assert np.array_equal(_window_profile_distances(rows), identity_distances(rows)[1])
+        (grid, profile), (closed_grid, closed_profile) = _coordinate_distances(rows), identity_distances(rows)
+        assert np.array_equal(profile, closed_profile)
+        np.testing.assert_allclose(grid, closed_grid, rtol=0, atol=n * n * 1e-12)
 
 
 class TestCircleMedian:
