@@ -17,7 +17,6 @@ whole class; hamming_embed is the scalar reference for every vector's row.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import asdict, dataclass
 from math import factorial, isclose, sqrt
@@ -29,6 +28,7 @@ from . import __version__
 from .embed import (
     DEFAULT_GRID_SCALE,
     _coordinate_distances,
+    _coordinate_temp_bytes,
     _identity_temp_bytes,
     check_scale1,
     identity_distances,
@@ -43,7 +43,7 @@ from .metric import (
     generator_neighbors_rows,
     rank_rows,
 )
-from .perms import Permutation, _block_degree, _signed_cells, unrank_rows
+from .perms import Permutation, _block_degree, _integers, _signed_cells, unrank_rows
 from .perms import all_permutations  # noqa: F401  the benchmark's tracer (perfbench/spans.py) wraps this binding
 
 __all__ = [
@@ -82,17 +82,6 @@ class DistortionReport:
                 "the largest expansion, so it is neither an upper bound nor a certified lower bound on the distortion"
             )
         return out
-
-
-def _integers(**args) -> list[Optional[int]]:
-    """An audit's integer arguments as ints, in order: no bools, sample_size and seed may be None, seed >= 0."""
-    for name, value in args.items():
-        if value is not None or name not in ("sample_size", "seed"):
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if name == "seed" and operator.index(value) < 0:
-                raise ValueError(f"seed must be None or a non-negative integer, got {value}")
-    return [None if value is None else operator.index(value) for value in args.values()]
 
 
 def _elapsed_ms(start: float) -> float:
@@ -203,7 +192,7 @@ def distortion_audit(
         # arrays (grid, profile, combined and a temporary, or combined, expansion ratios and two
         # temporaries).  A swept row adds its int8 row, int64 rank, three int32 decoder digits and
         # up to n bool carries; a sampled row its two draws (24), both int8 rows, quotient, digits,
-        # carries.  The witness re-check runs after the sweep and holds some 56n^2 bytes, far less.
+        # carries.  The witness re-check runs after the sweep and holds _coordinate_temp_bytes(n), far less.
         rows, per_row = (block, 33 + 2 * n + 20) if sample_size is None else (sample_size, 33 + 4 * n + 36)
         check_memory(size + rows * per_row + _identity_temp_bytes(rows, n), f"the exact audit of Sym_{n}")
         table = bfs_distances(n)
@@ -226,11 +215,10 @@ def distortion_audit(
             checked, expansion, contraction = _score(sigma, d, d, scale1)
     else:
         # per pair: the narrow quotient, the bracket and the scores; and the largest stage: the two int64 draws
-        # with q's narrow copy, the kernel, identity_distances, or the witness re-check, whose traced peak at
-        # n = 2..700 is two complex grids, their difference and its absolute value (56n^2) plus < 128n + 12 KB
+        # with q's narrow copy, the kernel, identity_distances, or the witness re-check
         m, cell = sample_size, _signed_cells(n)
         largest = max((16 + cell.itemsize) * m * n, _formula_batch_bytes(m, n), _identity_temp_bytes(m, n),
-                      56 * n * n + 128 * n + 16_384)
+                      _coordinate_temp_bytes(n))
         check_memory(m * (cell.itemsize * n + 49) + largest, f"the envelope audit of {m:,} pairs in Sym_{n}")
         # each row is the rng.permutation(n) draw, in order, shuffled in place: int64 rows shuffle faster
         draws = np.tile(np.arange(n), (2, m, 1))

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .perms import Permutation, _block_degree, _signed_cells, compose, inverse, perm_rank, unrank_rows
+from .perms import Permutation, _block_degree, _integers, _rows, _signed_cells, compose, inverse, perm_rank, unrank_rows
 
 __all__ = [
     "MEMORY_BUDGET", "ResourceLimitError", "check_memory",
@@ -72,7 +72,9 @@ class DistanceTable:
 
 
 def rank_rows(perms: np.ndarray) -> np.ndarray:
-    """Lehmer ranks of a batch of one-line rows, shape (m, n) -> (m,)."""
+    """Lehmer ranks of a batch of one-line rows, shape (m, n) -> (m,).  The
+    rows are checked by _rows; that each is a permutation is the caller's contract."""
+    perms = _rows(perms)
     m, n = perms.shape
     if n > 20:
         raise ValueError(f"Lehmer ranks of Sym_{n} reach {n}! - 1, which overflows int64 (degree <= 20)")
@@ -84,9 +86,13 @@ def rank_rows(perms: np.ndarray) -> np.ndarray:
 
 
 def generator_neighbors_rows(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows for t*p, c*p and c^-1*p: left multiplication maps each value v to g(v), g's row at v."""
+    """Rows for t*p, c*p and c^-1*p: left multiplication maps each value v to g(v), g's row at v.
+    The rows are checked by _rows; that each is a permutation is the caller's contract."""
+    perms = _rows(perms)
     values = np.arange(perms.shape[1], dtype=perms.dtype)
-    gens = np.array([values ^ (values < 2), np.roll(values, -1), np.roll(values, 1)])  # t swaps 0 and 1
+    t = values.copy()
+    t[:2] = values[1::-1]  # t swaps 0 and 1; Sym_1 has no 1, and there t fixes 0
+    gens = np.array([t, np.roll(values, -1), np.roll(values, 1)])
     return tuple(gens[:, perms])
 
 
@@ -124,6 +130,7 @@ def bfs_distances(n: int) -> DistanceTable:
     and one block are checked against MEMORY_BUDGET once, before the table
     exists: Sym_12 fits; Sym_13 raises ResourceLimitError, as does level 128.
     """
+    (n,) = _integers(n=n)
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
     size, k = factorial(n), _block_degree(n)
@@ -307,9 +314,11 @@ def formula_terms_batch(perms: np.ndarray, chunk: int = _FORMULA_CHUNK) -> tuple
     of at most `chunk`, fewer where a block's temporaries would exceed
     _FORMULA_BLOCK_BYTES, straight into the outputs.
     The float64 products and sums are of integers below 2**53, so they are
-    exact whatever the block size.
+    exact whatever the block size.  The rows are checked by _rows (2-D,
+    integer, every entry in [0, n)); that each is a permutation is the
+    caller's contract.
     """
-    perms = np.asarray(perms)
+    perms = _rows(perms)
     m, n = perms.shape
     pos = np.arange(n)
     cells = _signed_cells(n)

@@ -12,9 +12,10 @@ unrank_rows; perm_unrank is its scalar reference in the tests.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -280,14 +281,49 @@ def _signed_cells(n: int) -> np.dtype:
     return np.min_scalar_type(-n - 1)
 
 
+def _integers(**args) -> list[Optional[int]]:
+    """Integer arguments as ints, in order: no bools, sample_size and seed may be None, seed >= 0."""
+    for name, value in args.items():
+        if value is not None or name not in ("sample_size", "seed"):
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if name == "seed" and operator.index(value) < 0:
+                raise ValueError(f"seed must be None or a non-negative integer, got {value}")
+    return [None if value is None else operator.index(value) for value in args.values()]
+
+
+def _integer_array(values, name: str, ndim: int) -> np.ndarray:
+    """`values` as an ndim-D array of integers: ValueError for another number
+    of axes, TypeError for another dtype (bools and floats too).  An empty
+    array passes whatever its dtype, as `[]` reads float64."""
+    values = np.asarray(values)
+    if values.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-D array, got shape {values.shape}")
+    if values.size and values.dtype.kind not in "iu":
+        raise TypeError(f"{name} must be an integer array, got dtype {values.dtype}")
+    return values
+
+
+def _rows(perms, name: str = "perms") -> np.ndarray:
+    """`perms` as a 2-D integer array of one-line rows of degree n, its width,
+    every entry in [0, n): the check of the array entry points.  Whether each
+    row is a permutation is the caller's contract."""
+    rows = _integer_array(perms, name, 2)
+    n = rows.shape[1]
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise ValueError(f"{name} out of range for degree {n}: every entry must lie in [0, {n})")
+    return rows
+
+
 def unrank_rows(n: int, ranks) -> np.ndarray:
     """Batch form of perm_unrank, (m,) ranks -> (m, n) int8 rows.  The digits
     come off last to first by divmod with radix 2, 3, ..., n; digit i is the
     value at position i, and the values right of it at or above it move up."""
+    (n,) = _integers(n=n)
     if not 1 <= n <= 20:
         raise ValueError(f"degree must be >= 1 and <= 20, where ranks still fit int64, got {n}")
-    rest = np.asarray(ranks, dtype=np.int64)
-    if ((rest < 0) | (rest >= factorial(n))).any():
+    rest = _integer_array(ranks, "ranks", 1)
+    if rest.size and (rest.min() < 0 or rest.max() >= factorial(n)):
         raise ValueError(f"ranks out of range for degree {n}")
     rest = rest.astype(np.int32 if n <= 12 else np.int64)  # 12! < 2**31, and int32 divides faster
     rows = np.zeros((n, len(rest)), dtype=np.int8)

@@ -68,8 +68,15 @@ def _join(word: list[str], piece: Sequence[str]) -> list[str]:
     return word
 
 
+def _check_degree(n: int) -> None:
+    """Raise ValueError for a degree below 1, before any residue mod n is taken."""
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
+
+
 def rotation_word(n: int, shift: int) -> list[str]:
     """Letters for c^shift, rotated the shorter way around."""
+    _check_degree(n)
     j = shift % n
     if j <= n - j:
         return [C] * j
@@ -96,6 +103,7 @@ def _transposition_letters(n: int, l: int) -> list[str]:
 
 def word_transposition(n: int, k: int, m: int) -> GeneratorWord:
     """A word for (k m), length <= 4*d(k,m) + 2*d(0,k) + 1."""
+    _check_degree(n)
     k %= n
     m %= n
     if k == m:
@@ -148,6 +156,7 @@ def word_cycle(n: int, points: Sequence[int]) -> GeneratorWord:
 
     Length <= 2*d(0,k_1) + 6*sum_i d(k_i, k_i+1) + m.
     """
+    _check_degree(n)
     pts = [x % n for x in points]
     if len(pts) < 2:
         raise ValueError("a cycle needs at least 2 points")

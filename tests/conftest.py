@@ -13,6 +13,13 @@ from perml1.metric import bfs_distances, formula_distance, formula_terms_batch, 
 from perml1.perms import Permutation, unrank_rows
 
 
+def masked(report):
+    """A JSON report's fields without wall_time_ms, the one that differs between runs."""
+    out = dict(report)
+    del out["wall_time_ms"]
+    return out
+
+
 def seeded_elements(n, count):
     """`count` elements of Sym_n, shuffled by random.Random(n)."""
     rng = random.Random(n)

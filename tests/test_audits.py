@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import generator_edges
+from conftest import generator_edges, masked
 
 from perml1 import audits, embed, metric
 from perml1.audits import (
@@ -25,13 +25,6 @@ from perml1.metric import ResourceLimitError, bfs_distances, formula_terms_batch
 from perml1.perms import Permutation, all_permutations, compose, inverse, unrank_rows
 
 
-def masked(report):
-    """A report's JSON fields without the wall time."""
-    out = report.to_json_dict()
-    del out["wall_time_ms"]
-    return out
-
-
 def reference_sampled_exact(n, sample_size, seed):
     """The sampled exact audit built on all n! rows: every element decoded
     and indexed by the drawn ranks."""
@@ -46,7 +39,7 @@ def reference_sampled_exact(n, sample_size, seed):
     checked, (exp, exp_row), (con, con_row) = audits._score(sigma, d, d, DEFAULT_GRID_SCALE)
     exp_text, con_text = audits._check_witnesses(exp_row, con_row)
     return masked(DistortionReport(n, "exact", checked, exp, exp_text, con, con_text, exp * con, DEFAULT_GRID_SCALE,
-                                   sample_size, seed, 0.0))
+                                   sample_size, seed, 0.0).to_json_dict())
 
 
 def reference_cube(n):
@@ -66,7 +59,7 @@ def reference_cube(n):
                         and ((h / 3.0 <= d + 1e-12) & (d <= 11 * h + 1e-12)).all())
     minimizer = bool((sums[:, 0] < sums[:, 1:].min(axis=1)).all())
     return masked(CubeAuditReport(n, degree, 2 ** n * len(diffs), ratio_lo, ratio_hi, ratio_hi / ratio_lo, minimizer,
-                                  degree <= 7, sandwich, 0.0))
+                                  degree <= 7, sandwich, 0.0).to_json_dict())
 
 
 class TestDistortionExact:
@@ -110,7 +103,8 @@ class TestDistortionExact:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_sampled_matches_all_rows_reference(self, n, seed):
         # the drawn rows alone give the report that indexing all n! rows gave
-        assert masked(distortion_audit(n, sample_size=2000, seed=seed)) == reference_sampled_exact(n, 2000, seed)
+        report = distortion_audit(n, sample_size=2000, seed=seed)
+        assert masked(report.to_json_dict()) == reference_sampled_exact(n, 2000, seed)
 
     def test_element_sweep_matches_pair_sweep(self, tables):
         # the (id, sigma) sweep against every ordered pair scored on its own
@@ -478,7 +472,7 @@ class TestCubeAudit:
     # n = 1..8 keep their ids from the earlier (n, sample_size, seed) parametrization
     @pytest.mark.parametrize("n", [pytest.param(n, id=f"{n}-None-None") for n in range(1, 9)] + [*range(9, 14)])
     def test_matches_hamming_embed_reference(self, n):
-        assert masked(cube_audit(n)) == reference_cube(n)
+        assert masked(cube_audit(n).to_json_dict()) == reference_cube(n)
 
     @pytest.mark.parametrize("n", [*range(1, 25), 32])
     def test_laws(self, n):
@@ -646,9 +640,14 @@ class TestArguments:
         (lambda: cube_audit(2.0), TypeError, "n must be an integer, got 2.0"),
         (lambda: cube_audit(True), TypeError, "n must be an integer, got True"),
         (lambda: cube_audit(np.True_), TypeError, "n must be an integer, got "),
+        (lambda: bfs_distances(3.0), TypeError, "n must be an integer, got 3.0"),
+        (lambda: bfs_distances(True), TypeError, "n must be an integer, got True"),
+        (lambda: unrank_rows(3.0, [0]), TypeError, "n must be an integer, got 3.0"),
+        (lambda: unrank_rows(True, [0]), TypeError, "n must be an integer, got True"),
     ], ids=["drift-n", "drift-horizon", "drift-trials", "drift-trials-bool", "drift-seed-negative",
             "drift-seed-float", "audit-n", "audit-n-bool", "audit-sample-size", "audit-sample-size-bool",
-            "audit-seed-negative", "audit-seed-str", "cube-n", "cube-n-bool", "cube-n-numpy-bool"])
+            "audit-seed-negative", "audit-seed-str", "cube-n", "cube-n-bool", "cube-n-numpy-bool",
+            "bfs-n", "bfs-n-bool", "unrank-n", "unrank-n-bool"])
     def test_checked_at_the_boundary(self, call, error, what):
         with pytest.raises(error) as err:
             call()
@@ -659,5 +658,7 @@ class TestArguments:
         assert series == drift_walk(8, 2, 16, seed=0)
         assert json.loads(json.dumps(series.to_json_dict()))["seed"] == 0
         report = distortion_audit(np.int8(5), "envelope", sample_size=np.int64(50), seed=np.uint8(3))
-        assert masked(report) == masked(distortion_audit(5, "envelope", sample_size=50, seed=3))
+        plain = distortion_audit(5, "envelope", sample_size=50, seed=3)
+        assert masked(report.to_json_dict()) == masked(plain.to_json_dict())
         assert json.dumps(report.to_json_dict()) and json.dumps(cube_audit(np.int64(3)).to_json_dict())
+        assert type(bfs_distances(np.int64(3)).n) is int

@@ -9,6 +9,8 @@ import shlex
 import numpy as np
 import pytest
 
+from conftest import masked
+
 from perml1 import cli, metric, synth
 from perml1.cli import _csv_lines, main
 from perml1.perms import GeneratorWord, all_permutations
@@ -186,9 +188,7 @@ class TestAudit:
                 "--seed", "7")
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
-        d1, d2 = json.loads(out1), json.loads(out2)
-        d1.pop("wall_time_ms"), d2.pop("wall_time_ms")
-        assert d1 == d2
+        assert masked(json.loads(out1)) == masked(json.loads(out2))
 
     def test_csv_summary(self, capsys):
         code, out, _ = run_cli(capsys, "audit", "--n", "3", "--format", "csv")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import fitting_dtypes, narrow_cases, seeded_elements, tau
 
 from perml1 import metric
+from perml1.embed import identity_distances
 from perml1.metric import (
     ResourceLimitError,
     ShiftTerms,
@@ -566,6 +567,46 @@ class TestBatch:
     def test_rank_rows_rejects_int64_overflow(self):
         with pytest.raises(ValueError, match="Sym_21"):
             rank_rows(np.arange(21)[None, :])
+
+
+class TestArrayArguments:
+    """The array entry points take 2-D integer rows with entries in [0, n) and 1-D integer ranks; other
+    arrays raise an error that names the argument, not one from inside numpy."""
+
+    @pytest.mark.parametrize("call, error, what", [
+        (lambda: formula_terms_batch(np.arange(3)), ValueError, "perms must be a 2-D array, got shape (3,)"),
+        (lambda: formula_terms_batch(np.zeros((1, 2, 3), dtype=int)), ValueError, "perms must be a 2-D array"),
+        (lambda: identity_distances(np.arange(3)), ValueError, "sigma must be a 2-D array, got shape (3,)"),
+        (lambda: identity_distances(np.zeros((1, 2, 3), dtype=int)), ValueError, "sigma must be a 2-D array"),
+        (lambda: rank_rows(np.arange(3)), ValueError, "perms must be a 2-D array, got shape (3,)"),
+        (lambda: rank_rows(np.zeros((1, 2, 3), dtype=int)), ValueError, "perms must be a 2-D array"),
+        (lambda: formula_terms_batch([[0.0, 1.0, 2.0]]), TypeError, "perms must be an integer array, got dtype float"),
+        (lambda: identity_distances([[0.0, 1.0, 2.0]]), TypeError, "sigma must be an integer array, got dtype float64"),
+        (lambda: formula_terms_batch([[True, False]]), TypeError, "perms must be an integer array, got dtype bool"),
+        (lambda: formula_terms_batch([[0, 1, 3]]), ValueError, "perms out of range for degree 3"),
+        (lambda: identity_distances([[0, 1, 3]]), ValueError, "sigma out of range for degree 3"),
+        (lambda: rank_rows([[0, -1, 2]]), ValueError, "perms out of range for degree 3"),
+        (lambda: generator_neighbors_rows([[0, 2]]), ValueError, "perms out of range for degree 2"),
+        (lambda: unrank_rows(3, [[0, 1]]), ValueError, "ranks must be a 1-D array, got shape (1, 2)"),
+        (lambda: unrank_rows(3, 0), ValueError, "ranks must be a 1-D array, got shape ()"),
+        (lambda: unrank_rows(3, [0.5]), TypeError, "ranks must be an integer array, got dtype float64"),
+    ], ids=["kernel-1d", "kernel-3d", "identity-1d", "identity-3d", "rank-1d", "rank-3d", "kernel-float",
+            "identity-float", "kernel-bool", "kernel-entry-n", "identity-entry-n", "rank-entry-negative",
+            "neighbours-entry-n", "unrank-2d", "unrank-scalar", "unrank-float"])
+    def test_checked_at_the_boundary(self, call, error, what):
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value).startswith(what)
+
+    def test_empty_arrays_pass(self):
+        assert unrank_rows(3, []).shape == (0, 3)
+        assert rank_rows(np.zeros((0, 4), dtype=np.int8)).shape == (0,)
+        assert formula_terms_batch(np.zeros((0, 4), dtype=np.int8))[0].shape == (0, 4)
+        assert identity_distances(np.zeros((0, 4), dtype=np.int8))[0].shape == (0,)
+
+    def test_degree_one_generators_fix_zero(self):
+        # Sym_1 has no 1 for t to swap with 0, so every neighbour is the identity row
+        assert [rows.tolist() for rows in generator_neighbors_rows(np.zeros((1, 1), dtype=np.int8))] == [[[0]]] * 3
 
 
 def assert_rank_deltas(rows):

@@ -51,6 +51,19 @@ class TestFreeReduce:
         assert before == after
 
 
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("call", [
+    lambda n: word_transposition(n, 0, 1),
+    lambda n: word_transposition_from_zero(n, 1),
+    lambda n: word_cycle(n, [0, 1]),
+    lambda n: rotation_word(n, 1),
+], ids=["transposition", "transposition-from-zero", "cycle", "rotation"])
+def test_degree_below_one_is_refused(call, n):
+    # checked before the first residue mod n, which at n = 0 would divide by zero
+    with pytest.raises(ValueError, match=f"degree must be >= 1, got {n}"):
+        call(n)
+
+
 class TestRotationWord:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_shorter_direction(self, n):
