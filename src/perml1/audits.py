@@ -35,8 +35,10 @@ from .embed import (
 )
 from .embed import interval_profile  # noqa: F401  the benchmark's tracer (perfbench/spans.py) wraps this binding
 from .metric import (
-    _delta_table,
+    _bfs_bytes,
     _formula_batch_bytes,
+    _moved_blocks,
+    _rank_moves,
     bfs_distances,
     check_memory,
     formula_terms_batch,
@@ -164,10 +166,11 @@ def distortion_audit(
     Each pair (p, q) is scored as sigma = q p^-1 against the identity.  Exact
     mode sweeps every sigma != id, which stands for all n!(n!-1) ordered
     pairs, decoding one range of k! Lehmer ranks (unrank_rows) at a time, or
-    scores a seeded sample of pairs, against the BFS oracle; its arrays are
-    checked against MEMORY_BUDGET before the BFS runs (the sweep holds the n!
-    table and one range: Sym_12 fits).  Envelope mode scores sampled pairs
-    against the two-sided formula bracket instead: an estimate, not a bound.
+    scores a seeded sample of pairs, against the BFS oracle; the BFS's bytes
+    and those of the sweep after it are checked against MEMORY_BUDGET before
+    the BFS runs (the sweep holds the n! table and one range: Sym_12 fits).
+    Envelope mode scores sampled pairs against the two-sided formula bracket
+    instead: an estimate, not a bound.
     """
     start = time.perf_counter()
     if mode not in ("exact", "envelope"):
@@ -188,13 +191,14 @@ def distortion_audit(
     rng = np.random.default_rng(seed)
     if mode == "exact":
         size, block = factorial(n), factorial(_block_degree(n))
-        # The int8 table, and per scored row at the peak: the distinct mask and four float64
-        # arrays (grid, profile, combined and a temporary, or combined, expansion ratios and two
-        # temporaries).  A swept row adds its int8 row, int64 rank, three int32 decoder digits and
-        # up to n bool carries; a sampled row its two draws (24), both int8 rows, quotient, digits,
-        # carries.  The witness re-check runs after the sweep and holds _coordinate_temp_bytes(n), far less.
+        # The BFS (_bfs_bytes); then the int8 table, and per scored row at the peak: the distinct
+        # mask and four float64 arrays (grid, profile, combined and a temporary, or combined,
+        # expansion ratios and two temporaries).  A swept row adds its int8 row, int64 rank, three
+        # int32 decoder digits and up to n bool carries; a sampled row its two draws (24), both int8
+        # rows, quotient, digits, carries.  The witness re-check runs after the sweep and holds _coordinate_temp_bytes(n), far less.
         rows, per_row = (block, 33 + 2 * n + 20) if sample_size is None else (sample_size, 33 + 4 * n + 36)
-        check_memory(size + rows * per_row + _identity_temp_bytes(rows, n), f"the exact audit of Sym_{n}")
+        check_memory(max(_bfs_bytes(n), size + rows * per_row + _identity_temp_bytes(rows, n)),
+                     f"the exact audit of Sym_{n}")
         table = bfs_distances(n)
         if sample_size is None:
             checked, expansion, contraction = 0, (-1.0, None), (-1.0, None)
@@ -238,6 +242,7 @@ def distortion_audit(
 def hamming_embed(n: int, bits: Sequence[int]) -> Permutation:
     """Map a length-n bit vector into Sym_{4n^2} as a product of the n
     disjoint transpositions (i, n+i), one per set bit."""
+    (n,) = _integers(n=n)
     if n < 1:
         raise ValueError("cube dimension must be >= 1")
     if len(bits) != n or any(b not in (0, 1) for b in bits):
@@ -374,15 +379,11 @@ def drift_walk(
 
     The distance proxy per step is either the exact BFS length or F/3, the
     lower edge of the formula's 3-approximation bracket.  The BFS proxy
-    moves each walker's Lehmer rank by _delta_table, as the BFS does, so no
-    state is ranked from scratch.  A walker is an unrotated int8 row q and
-    an offset r, its inverse row being j -> q[(j + r) mod n].  Since
-    (g p)^-1 = p^-1 g^-1, c and c^-1 move only r (to r - 1 and r + 1), t
-    swaps q[r] and q[r + 1], and the delta of the drawn letter reads q[r],
-    the position of 0, and one more value: q[r + 1] (t: the position of 1),
-    q[r - 1] (c: of n - 1) or q[r] again (c^-1).  Each walker reads that one
-    entry of the table, at (g n + q[r]) n + that value, so a step costs O(1)
-    per walker.
+    moves each walker by the BFS's block plans (_moved_blocks): a walker is
+    its Lehmer rank B k! + j as the block B and tail index j, k =
+    _block_degree(n), and g sends it to g's target block of B, with j or
+    Sym_k's neighbour rank of j.  No state is ranked from scratch or held as
+    a row, so a step costs O(1) per walker.
 
     The formula proxy scores each distinct element once: F depends only on
     the element, and the walkers keep landing on the same ones.  A step's
@@ -412,10 +413,10 @@ def drift_walk(
         index_bytes = 4 * min(horizon, _PENDING_STEPS)
         check_memory(trials * (5 * n * cell.itemsize + 96 + index_bytes) + _formula_batch_bytes(trials, n),
                      f"the formula drift walk of {trials:,} walkers on Sym_{n}")
-    else:  # the table; per walker: int8 row, offset, row start, rank (n + 24), draws, slot and the two
-        # slots read (32), the values read, the letter mask and the swapped values (8), the int64 delta
-        # index temporaries and the delta (24), and the last step's proxy values (8)
-        check_memory(factorial(n) + trials * (n + 96),
+    else:  # the BFS; then its table and the walk's rank moves, within the BFS's bytes less its level lists
+        # (n!), and per walker: its block and tail index, the letters and their draws (32), the flat key, the
+        # gathered offset and their sum (24), and the moved block (8); 50 were traced
+        check_memory(_bfs_bytes(n) + max(0, trials * 64 - factorial(n)),
                      f"the BFS drift walk of {trials:,} walkers on Sym_{n}")
     table = bfs_distances(n) if proxy == "bfs" else None
     rng = np.random.default_rng(seed)
@@ -438,13 +439,7 @@ def drift_walk(
 
     letters = np.array([0, 0, 1, 2] if four_step else [0, 1, 2])  # t, c, c^-1
     if proxy == "bfs":
-        q = np.tile(np.arange(n, dtype=np.int8), trials)  # the walkers' rows, end to end
-        row, r = np.arange(0, n * trials, n), np.zeros(trials, dtype=np.intp)
-        ranks = np.zeros(trials, dtype=np.int64)
-        same, ahead, behind = np.arange(n), np.roll(np.arange(n), -1), np.roll(np.arange(n), 1)
-        # at n * g + r: the offset after t, c, c^-1, and the slot of the delta's second value
-        moved, second = np.concatenate([same, behind, ahead]), np.concatenate([ahead, behind, same])
-        deltas = _delta_table(n)
+        moves, head, tail = _rank_moves(n), np.zeros(trials, dtype=np.int64), np.zeros(trials, dtype=np.int64)
     else:  # the distinct one-line rows, each walker's index into them, and the rows of t, c and c^-1, end to end
         rows, walker = np.arange(n, dtype=cell)[None, :], np.zeros(trials, dtype=np.int32)
         gens = np.concatenate(generator_neighbors_rows(np.arange(n, dtype=cell)[None, :])).ravel()
@@ -453,14 +448,8 @@ def drift_walk(
     for _ in range(horizon):
         g = letters[rng.integers(0, len(letters), trials)]
         if proxy == "bfs":
-            slot = n * g + r
-            at, other = row + r, row + second.take(slot)
-            zero, value = q[at], q[other]
-            ranks += deltas.take((n * g + zero) * n + value)
-            transpose = g == 0
-            q[at], q[other] = np.where(transpose, value, zero), np.where(transpose, zero, value)
-            r = moved.take(slot)
-            record(table.dist[ranks].astype(np.float64))
+            head, tail = _moved_blocks(moves, g, head, tail)
+            record(table.dist[head * moves[0] + tail].astype(np.float64))  # at rank B k! + j
         else:
             key, flags = 3 * walker + g, np.zeros(3 * len(rows), dtype=bool)
             flags[key] = True  # one move per (state, letter) key; the keys come sorted

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .perms import Permutation, _rows, _signed_cells, cycle_dist, inverse
+from .perms import Permutation, _check_degree, _rows, _signed_cells, cycle_dist, inverse
 
 __all__ = [
     "INTERIOR_MARGIN", "DEFAULT_GRID_SCALE",
@@ -142,6 +142,7 @@ def intervals(n: int) -> Iterator[tuple[int, int]]:
 
 
 def interior_contains_zero(n: int, start: int, length: int) -> bool:
+    _check_degree(n)
     offset = (-start) % n
     return INTERIOR_MARGIN <= offset <= length - 1 - INTERIOR_MARGIN
 
@@ -305,6 +306,7 @@ def circle_median(n: int, cloud: Sequence[int]) -> tuple[int, int]:
 
     The minimum over all of Z/n is always attained inside the cloud.
     """
+    _check_degree(n)
     if not cloud:
         raise ValueError("cloud must be nonempty")
     pts = [x % n for x in cloud]
@@ -323,6 +325,7 @@ def avg_vs_min_check(n: int, cloud: Sequence[int]) -> tuple[float, float, bool]:
     Returns (avg_pair, min_avg, holds) where holds means
     avg_pair/2 <= min_avg <= avg_pair.
     """
+    _check_degree(n)
     if not cloud:
         raise ValueError("cloud must be nonempty")
     pts = [x % n for x in cloud]
@@ -335,6 +338,7 @@ def avg_vs_min_check(n: int, cloud: Sequence[int]) -> tuple[float, float, bool]:
 
 def count_separating_intervals(n: int, points: Iterable[int]) -> int:
     """Number of intervals meeting the set properly with interior avoiding 0."""
+    _check_degree(n)
     s = {x % n for x in points}
     if not s or len(s) == n:
         raise ValueError("set must be nonempty and proper")

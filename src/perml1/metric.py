@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import factorial
 from operator import add, mul, sub
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .perms import Permutation, _block_degree, _integers, _rows, _signed_cells, compose, inverse, perm_rank, unrank_rows
+from .perms import Permutation, _block_degree, _integers, _rows, _signed_cells, compose, inverse, perm_rank
 
 __all__ = [
     "MEMORY_BUDGET", "ResourceLimitError", "check_memory",
@@ -35,6 +35,11 @@ MEMORY_BUDGET = 1 << 30
 
 # Largest BFS level the int8 distance table can hold.
 _MAX_LEVEL = np.iinfo(np.int8).max
+
+# A block keeps a tail-index list of its next BFS level while the list holds
+# at most block // _LIST_DIVISOR entries; a longer level is read back from the
+# table.  So the lists of one level hold at most n!/2 bytes.
+_LIST_DIVISOR = 4
 
 # Byte budget for the largest temporaries of formula_terms_batch, those of one
 # block of rows (_row_block's `row` bytes each): it stays a few MB at any degree.
@@ -96,79 +101,128 @@ def generator_neighbors_rows(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return tuple(gens[:, perms])
 
 
-def _delta_table(n: int) -> np.ndarray:
-    """Lehmer-rank change of g*p, flat at (g*n + a)*n + b, where g is t, c or
-    c^-1 (0, 1, 2), a is the position in p of 0 and b that of the letter's
-    second value: 1, n-1 or 0 (b = a for c^-1).  With fact[i] = (n-1-i)!, the
-    weight of digit i, and prefix[a] = sum(fact[:a]):
+def _block_moves(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where t, c and c^-1 send the blocks of k! consecutive ranks of Sym_n,
+    and whether they reorder the blocks' tails: two (3, n!/k!) arrays.
 
-    - t swaps the values 0 and 1, which changes only the digits at their
-      positions a and b: +fact[a] if a < b, else -fact[b].
-    - c maps value v to v+1 mod n.  Every digit left of b, the position of
-      n-1, gains one (the new 0 lies to its right) and digit b drops from
-      n-1-b to 0: up[b] = +prefix[b] - (n-1-b) * fact[b].
-    - c^-1 undoes c: -up[b] with b the position of 0.
+    Left multiplication acts on values.  Rank B (m-1)! + j of Sym_m has first
+    value B, and its other m-1 values in the order of rank j of Sym_{m-1}.  g
+    sends B to g(B), and maps the other values in order, unless it moves one
+    of them past the rest: t reorders them iff it swaps two of them (B >= 2),
+    c iff it wraps m-1 to 0 (B != m-1), c^-1 iff it wraps 0 to m-1 (B != 0).
+    On the rest, in their own order, g then acts as the same letter of
+    Sym_{m-1}: t swaps their two smallest, c turns their largest into the
+    smallest, c^-1 the smallest into the largest.  So g sends rank B (m-1)! + j to
+    g(B) (m-1)! + (N_{m-1}[g][j] if g reorders the rest, else j), and the
+    recursion from Sym_k up to Sym_n moves whole blocks: a block's tail is
+    reordered iff every value g moves past the rest lies in it (0 and 1 for
+    t, n-1 for c, 0 for c^-1).  With k = 1 the blocks are single ranks, and
+    the first array is Sym_n's neighbour rank maps.
     """
-    idx = np.arange(n)
-    fact = np.array([factorial(n - 1 - i) for i in idx], dtype=np.int64)
-    swap = np.where(idx[:, None] < idx[None, :], fact[:, None], -fact[None, :])
-    up = np.cumsum(fact) - fact - (n - 1 - idx) * fact
-    return np.stack(np.broadcast_arrays(swap, up, -up)).ravel()
+    cells = np.min_scalar_type(factorial(n) // factorial(k) - 1)  # uint16 for the BFS's maps and plans
+    blocks = np.zeros((3, 1), dtype=cells)
+    reorders = np.ones((3, 1), dtype=bool)
+    for m in range(k + 1, n + 1):
+        first = np.arange(m)
+        images = np.array([np.where(first < 2, 1 - first, first), (first + 1) % m, (first - 1) % m], dtype=cells)
+        moved = np.array([first >= 2, first != m - 1, first != 0])[:, :, None]  # g reorders the rest
+        rest = blocks.shape[1]
+        blocks = (rest * images[:, :, None] + np.where(moved, blocks[:, None, :], np.arange(rest, dtype=cells)))
+        blocks = blocks.reshape(3, -1)
+        reorders = (moved & reorders[:, None, :]).reshape(3, -1)
+    return blocks, reorders
+
+
+def _rank_moves(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """How t, c and c^-1 (g = 0, 1, 2) move the Lehmer ranks of Sym_n, in blocks
+    of k! ranks, k = _block_degree(n): (k!, maps, targets, offsets).  maps is
+    the identity of Sym_k, then its neighbour rank maps, k! uint16 entries
+    each; targets and offsets (3, n!/k!) hold the block that g sends block B
+    to and the start in maps of the map it applies to B's tails, 0 where g
+    keeps their order (_block_moves).  So rank B k! + j goes to rank
+    targets[g, B] k! + maps[offsets[g, B] + j]."""
+    k = _block_degree(n)
+    block = factorial(k)
+    targets, reorders = _block_moves(n, k)
+    maps = np.concatenate([np.arange(block, dtype=np.uint16), _block_moves(k, 1)[0].ravel()], dtype=np.uint16)
+    return block, maps, targets.astype(np.int64), block * np.arange(1, 4)[:, None] * reorders
+
+
+def _moved_blocks(moves: tuple, g: np.ndarray, head: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The block and tail index, B and j of rank B k! + j, of each g * p, for
+    _rank_moves(n), the letters g (0, 1, 2) and p's blocks and tail indices."""
+    _, maps, targets, offsets = moves
+    key = g * targets.shape[1] + head  # (g, B) in the flat plans
+    return targets.take(key), maps.take(offsets.take(key) + tail)
+
+
+def _bfs_bytes(n: int) -> int:
+    """Bytes bfs_distances holds at its peak: the int8 table; the tail-index
+    lists of two levels, at most block // _LIST_DIVISOR uint16 entries a block
+    each, so n!/2 bytes a level; per block, its plans (as Python lists), its
+    dictionary entries and list objects, 1 KB; per rank of a block, Sym_k's maps
+    (8), and the larger of the recursion's arrays that build them (24) and one
+    block's read-back mask and ranks, gathers and fresh entries (48); and 64 KB
+    for the ufuncs' buffers and the small arrays of the recursion."""
+    size, block = factorial(n), factorial(_block_degree(n))
+    return 2 * size + 1024 * (size // block) + 56 * block + (1 << 16)
 
 
 def bfs_distances(n: int) -> DistanceTable:
     """Exact shortest-path distances from the identity over all of Sym_n.
 
-    A table-scan BFS (Korf, JACM 2008): the frontier of level L, the ranks
-    with dist == L, is read in blocks of k! ranks, k = _block_degree(n).
-    A block's rows share their first n-k values (the head) and run through
-    Sym_k on the rest, so the positions of 0, 1 and n-1 that the O(1) rank
-    deltas need (_delta_table) come from the head or from Sym_k's rows.
-    Each neighbour's entry becomes its minimum with level + 1 on the table's
-    uint8 view, where the sentinel -1 reads 255: reached entries (at most
-    level + 1) stay, duplicates write alike, and nothing is compressed.  The table
-    and one block are checked against MEMORY_BUDGET once, before the table
-    exists: Sym_12 fits; Sym_13 raises ResourceLimitError, as does level 128.
+    A frontier BFS over blocks of k! consecutive ranks, k = _block_degree(n).
+    Left multiplication acts on values, so t, c and c^-1 each send a whole
+    block to one block, reordering the tails, the last k values, by one of
+    Sym_k's neighbour rank maps or not at all (_block_moves).  A level's frontier is a uint16 list of
+    tail indices per block.  Each (frontier block, generator) pair is gathered
+    and written on its own, on the table's uint8 view where the sentinel -1
+    reads 255: the entries that read 255 before the write are exactly the next
+    level's new members, with no duplicates, as each map is a bijection and
+    this level's earlier writes already read level + 1.  A block whose next
+    level would pass block // _LIST_DIVISOR entries keeps no list and is read
+    back from the table (dist == level) instead, as in a table scan (Korf, JACM
+    2008); direction-optimizing BFS (Beamer, Asanovic & Patterson, SC 2012)
+    likewise scans only dense levels.  _bfs_bytes is checked against
+    MEMORY_BUDGET once, before the table exists: Sym_12 fits; Sym_13 raises
+    ResourceLimitError, as does level 128.
     """
     (n,) = _integers(n=n)
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    size, k = factorial(n), _block_degree(n)
-    h, block = n - k, factorial(k)
-    # per block: its first row, an equality test, an argmax and the heads; per rank: Sym_k's int8 rows with
-    # decoder digits and carries (12 + k) or their inverse and its shifted copy (2k), cols, scan temporaries
-    check_memory(size + (2 * n + 11) * (size // block) + (3 * k + 2 * n + 76) * block,
-                 f"the BFS over Sym_{n}")
+    check_memory(_bfs_bytes(n), f"the BFS over Sym_{n}")
+    size = factorial(n)
+    block, maps, targets, offsets = _rank_moves(n)
+    targets, offsets, cap = targets.tolist(), offsets.tolist(), block // _LIST_DIVISOR
     dist = np.full(size, -1, dtype=np.int8)
     dist[0] = 0
     udist = dist.view(np.uint8)  # -1 reads as 255, above every level
-    if n == 1:  # Sym_1 is the identity alone, and t needs two columns
-        return DistanceTable(n, dist)
-    # cols[j], per row of a block: the position of the head's value at j < h, or of the
-    # (j-h)-th smallest value off the head, which the block's first row (its tail ascends)
-    # has at j.  So heads, the positions of 0, 1 and n-1 in the first rows, index cols.
-    sym_k = unrank_rows(k, np.arange(block))
-    inv = np.empty_like(sym_k)
-    np.put_along_axis(inv, sym_k, np.arange(k, dtype=np.int8), axis=1)  # inv[p(j)] = j
-    cols = np.concatenate([np.repeat(np.arange(h, dtype=np.int8), block).reshape(h, block), h + inv.T])
-    first = unrank_rows(n, np.arange(0, size, block))
-    heads = np.array([(first == v).argmax(axis=1).astype(np.int8) for v in (0, 1, n - 1)])
-    t, c, cinv = _delta_table(n).reshape(3, n * n)
-    reached = 0
+    # per block of the level: its tail indices in uint16 pieces, or None where they are read back
+    frontier: dict[int, Optional[list[np.ndarray]]] = {0: [np.zeros(1, dtype=np.uint16)]}
+    reached = 1
     for level in range(_MAX_LEVEL):
-        for lo, zero, one, top in zip(range(0, size, block), *heads):
-            rows = np.flatnonzero(dist[lo:lo + block] == level)
-            if len(rows):
-                reached += len(rows)
-                # t reads row a, the position of 0, of its third; c's and c^-1's repeat one row for every a
-                at = n * cols[zero][rows].astype(np.int64)
-                deltas = np.stack([t.take(at + cols[one][rows]), c.take(cols[top][rows]), cinv.take(cols[zero][rows])])
-                candidates = (lo + rows + deltas).ravel()
-                known = udist[candidates]
-                udist[candidates] = np.minimum(known, level + 1, out=known)
         if reached == size:
             return DistanceTable(n, dist)
-    if dist.min() < 0:
+        nxt: dict[int, Optional[list[np.ndarray]]] = {}
+        for b, pieces in frontier.items():
+            lo = b * block
+            rows = (np.flatnonzero(udist[lo:lo + block] == level) if pieces is None
+                    else np.concatenate(pieces, dtype=np.intp))
+            for g in range(3):
+                at, to = offsets[g][b], targets[g][b]
+                idx = maps[at:at + block].take(rows).astype(np.intp) if at else rows
+                target = udist[to * block:(to + 1) * block]
+                fresh = idx[target.take(idx) == 255]
+                if len(fresh):
+                    target[fresh] = level + 1
+                    reached += len(fresh)
+                    pieces = nxt.setdefault(to, [])
+                    if pieces is not None:  # at most three pieces, one per generator
+                        pieces.append(fresh.astype(np.uint16))
+                        if sum(map(len, pieces)) > cap:
+                            nxt[to] = None
+        frontier = nxt  # this level's pieces are freed here
+    if reached < size:
         raise ResourceLimitError(f"BFS over Sym_{n} passes level {_MAX_LEVEL}, beyond the int8 distance table")
     return DistanceTable(n, dist)
 

@@ -198,14 +198,22 @@ def eval_word(w: GeneratorWord) -> Permutation:
     return Permutation(n, tuple(images))
 
 
+def _check_degree(n: int) -> None:
+    """Raise ValueError for a degree below 1, before any residue mod n is taken."""
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
+
+
 def cycle_dist(n: int, a: int, b: int) -> int:
     """Shortest-path distance between a and b on the n-cycle."""
+    _check_degree(n)
     d = (a - b) % n
     return min(d, n - d)
 
 
 def cycle_diam(n: int, points: Iterable[int]) -> int:
     """Max pairwise cycle distance within the set; 0 for empty or singleton sets."""
+    _check_degree(n)
     pts = sorted({x % n for x in points})
     m = len(pts)
     if m <= 1:
@@ -252,6 +260,7 @@ def perm_rank(p: Permutation) -> int:
 
 def perm_unrank(n: int, rank: int) -> Permutation:
     """Inverse of perm_rank."""
+    n, rank = _integers(n=n, rank=rank)
     if not 0 <= rank < factorial(n):
         raise ValueError(f"rank {rank} out of range for degree {n}")
     digits = []

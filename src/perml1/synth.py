@@ -23,6 +23,7 @@ from .perms import (
     Permutation,
     T,
     _INVERSE_LETTER,
+    _check_degree,
     cycle_dist,
 )
 
@@ -66,12 +67,6 @@ def _join(word: list[str], piece: Sequence[str]) -> list[str]:
         cut += 1
     word += piece[cut:]
     return word
-
-
-def _check_degree(n: int) -> None:
-    """Raise ValueError for a degree below 1, before any residue mod n is taken."""
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
 
 
 def rotation_word(n: int, shift: int) -> list[str]:

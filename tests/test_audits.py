@@ -22,7 +22,7 @@ from perml1.audits import (
 )
 from perml1.embed import DEFAULT_GRID_SCALE, combined_distance, combined_embed
 from perml1.metric import ResourceLimitError, bfs_distances, formula_terms_batch, generator_neighbors_rows, rank_rows
-from perml1.perms import Permutation, all_permutations, compose, inverse, unrank_rows
+from perml1.perms import Permutation, all_permutations, compose, inverse, perm_unrank, unrank_rows
 
 
 def reference_sampled_exact(n, sample_size, seed):
@@ -644,10 +644,12 @@ class TestArguments:
         (lambda: bfs_distances(True), TypeError, "n must be an integer, got True"),
         (lambda: unrank_rows(3.0, [0]), TypeError, "n must be an integer, got 3.0"),
         (lambda: unrank_rows(True, [0]), TypeError, "n must be an integer, got True"),
+        (lambda: perm_unrank(3, 0.5), TypeError, "rank must be an integer, got 0.5"),
+        (lambda: hamming_embed(2.0, [0, 1]), TypeError, "n must be an integer, got 2.0"),
     ], ids=["drift-n", "drift-horizon", "drift-trials", "drift-trials-bool", "drift-seed-negative",
             "drift-seed-float", "audit-n", "audit-n-bool", "audit-sample-size", "audit-sample-size-bool",
             "audit-seed-negative", "audit-seed-str", "cube-n", "cube-n-bool", "cube-n-numpy-bool",
-            "bfs-n", "bfs-n-bool", "unrank-n", "unrank-n-bool"])
+            "bfs-n", "bfs-n-bool", "unrank-n", "unrank-n-bool", "perm-unrank-rank", "hamming-n"])
     def test_checked_at_the_boundary(self, call, error, what):
         with pytest.raises(error) as err:
             call()

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -16,7 +17,9 @@ from perml1.embed import identity_distances
 from perml1.metric import (
     ResourceLimitError,
     ShiftTerms,
-    _delta_table,
+    _block_moves,
+    _moved_blocks,
+    _rank_moves,
     bfs_distances,
     formula_distance,
     formula_length,
@@ -36,8 +39,9 @@ from perml1.perms import (
 )
 
 
+@functools.cache
 def reference_bfs(n):
-    """Frontier BFS that ranks every candidate row from scratch."""
+    """Frontier BFS that ranks every candidate row from scratch (cached: read it, do not write it)."""
     dist = np.full(math.factorial(n), -1, dtype=np.int64)
     frontier = np.arange(n, dtype=np.int8).reshape(1, n)
     dist[0] = 0
@@ -169,7 +173,7 @@ class TestBfs:
     def test_guard(self, monkeypatch):
         # the table of Sym_13 alone exceeds the budget: refused before any array exists
         monkeypatch.setattr(metric.np, "full", lambda *a, **k: pytest.fail("table allocated"))
-        with pytest.raises(ResourceLimitError, match="BFS over Sym_13 needs 6,237,815,400 bytes, over the memory"):
+        with pytest.raises(ResourceLimitError, match="BFS over Sym_13 needs 12,614,511,616 bytes, over the memory"):
             bfs_distances(13)
 
     def test_budget_is_checked_once_before_the_table(self, monkeypatch):
@@ -185,12 +189,21 @@ class TestBfs:
         with pytest.raises(ResourceLimitError, match=f"BFS over Sym_7 needs {checked[0]:,} bytes, over the memory"):
             bfs_distances(7)
 
-    @pytest.mark.parametrize("n", [8, 9, 10])
-    def test_budget_counts_every_live_array(self, n, traced_peak_and_largest_check):
-        # tracemalloc sees every numpy buffer: their peak stays within the
-        # amount the BFS checked against the budget
+    @pytest.mark.parametrize(
+        "n, block_degree",
+        [pytest.param(n, 8, id=str(n)) for n in (8, 9, 10)]
+        + [pytest.param(n, k, id=f"{n}-block{k}") for k in (1, 2) for n in (5, 6)],
+    )
+    def test_budget_counts_every_live_array(self, n, block_degree, traced_peak_and_largest_check, monkeypatch):
+        # tracemalloc sees every numpy buffer and Python object: their peak stays within the
+        # amount the BFS checked against the budget, also where tiny blocks make many objects
+        monkeypatch.setattr("perml1.perms._BLOCK_DEGREE", block_degree)
         peak, largest = traced_peak_and_largest_check(lambda: bfs_distances(n))
         assert peak <= largest
+
+    def test_sym12_fits_the_budget(self):
+        # the table and two levels of lists, n! bytes each, with the per-block and per-rank terms
+        assert metric._bfs_bytes(12) == 972_491_776 < metric.MEMORY_BUDGET
 
     @pytest.mark.parametrize("m", [3, 6])
     def test_lookup_rejects_another_degree(self, tables, m):
@@ -223,9 +236,17 @@ class TestBfs:
         assert dist.dtype == np.int8
         assert np.array_equal(dist, reference_bfs(n))
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("divisor", [1, 10 ** 6], ids=["no-block-read-back", "every-block-read-back"])
+    def test_list_cap_matches_reference_bfs(self, n, divisor, monkeypatch):
+        # a cap of block // 1 entries is never passed, so every level stays in lists; a cap of 0
+        # is passed by every level, so every block is read back from the table
+        monkeypatch.setattr(metric, "_LIST_DIVISOR", divisor)
+        assert np.array_equal(bfs_distances(n).dist, reference_bfs(n))
+
     @pytest.mark.parametrize("k", range(1, 9))
     def test_block_rows_are_sym_k_in_rank_order(self, k):
-        # the rows the BFS decodes: all of Sym_k, and the first row of each block of j! ranks
+        # the rows the sweeps decode: all of Sym_k, and the first row of each block of j! ranks
         rows = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
         decoded = unrank_rows(k, np.arange(math.factorial(k)))
         assert decoded.dtype == np.int8 and np.array_equal(decoded, rows)
@@ -243,6 +264,19 @@ class TestBfs:
         ]
         digest = hashlib.sha256(np.ascontiguousarray(dist, dtype="<i4").tobytes()).hexdigest()
         assert digest == "bab26a036bce8f89700cd9cb3ac3d30c9d65b05d328939bfa72449d9bbd28181"
+
+    @pytest.mark.slow
+    def test_table_at_degree_eleven_is_pinned(self):
+        # golden values, recorded with the table-scan BFS this one replaced: about 2 s
+        dist = bfs_distances(11).dist
+        assert np.bincount(dist).tolist() == [
+            1, 3, 6, 12, 24, 48, 89, 166, 309, 560, 1001, 1776, 3097, 5314, 8937, 14618, 23293, 36288, 55172,
+            81871, 118838, 169112, 235115, 319961, 427229, 559464, 716979, 903686, 1116773, 1352909, 1609076,
+            1880395, 2148532, 2408704, 2650204, 2844421, 2980448, 3049721, 3017424, 2878200, 2626374, 2235627,
+            1702643, 1044515, 475424, 155851, 42082, 10262, 2835, 937, 328, 100, 32, 10, 3, 1,
+        ]
+        digest = hashlib.sha256(np.ascontiguousarray(dist, dtype="<i4").tobytes()).hexdigest()
+        assert digest == "0c857b0dfe7116084a34bccda8bc73b0e46ee6dfd7030c1d32838fa7bd4bc528"
 
     @pytest.mark.parametrize("n", range(4, 11))
     def test_unique_antipode(self, n):
@@ -609,26 +643,45 @@ class TestArrayArguments:
         assert [rows.tolist() for rows in generator_neighbors_rows(np.zeros((1, 1), dtype=np.int8))] == [[[0]]] * 3
 
 
-def assert_rank_deltas(rows):
-    """t, c and c^-1 change rank_rows by exactly the _delta_table entry at
-    (g, the position of 0, that of the letter's second value 1, n-1 or 0)."""
-    n = rows.shape[1]
-    pos = np.argsort(rows, axis=1)  # pos[v] = position of v
-    table = _delta_table(n).reshape(3, n, n)
-    ranks = rank_rows(rows)
-    for g, (neighbours, second) in enumerate(zip(generator_neighbors_rows(rows), (1, n - 1, 0))):
-        assert np.array_equal(rank_rows(neighbours), ranks + table[g, pos[:, 0], pos[:, second]])
+def assert_rank_moves(rows):
+    """_moved_blocks takes each row's Lehmer rank B k! + j to those of t*p, c*p and c^-1*p."""
+    moves = _rank_moves(rows.shape[1])
+    head, tail = np.divmod(rank_rows(rows), moves[0])
+    for g, neighbours in enumerate(generator_neighbors_rows(rows)):
+        to, moved = _moved_blocks(moves, np.full(len(head), g), head, tail)
+        assert np.array_equal(to * moves[0] + moved, rank_rows(neighbours))
 
 
 class TestRankDeltas:
+    """How a generator moves a Lehmer rank: the block plans of _rank_moves, which the BFS and the BFS drift walk read."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_neighbour_maps_of_sym_k(self, k):
+        # the recursion on the first value against ranking every neighbour row of Sym_k
+        neighbours = generator_neighbors_rows(unrank_rows(k, np.arange(math.factorial(k))))
+        ranks = np.array([rank_rows(rows) for rows in neighbours])
+        assert np.array_equal(_block_moves(k, 1)[0], ranks)
+        maps = _rank_moves(k)[1].reshape(4, -1)  # the identity, then the three maps, as the BFS stores them
+        assert maps.dtype == np.uint16 and np.array_equal(maps, np.vstack([np.arange(math.factorial(k)), ranks]))
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_exhaustive(self, n, perm_arrays):
-        assert_rank_deltas(perm_arrays[n])
+        assert_rank_moves(perm_arrays[n])
+
+    def test_block_plans_on_sym9(self):
+        # Sym_9 is nine blocks of 8! ranks, with every head and every first value
+        assert_rank_moves(unrank_rows(9, np.arange(math.factorial(9))))
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_block_plans_on_samples(self, n):
+        ranks = np.random.default_rng(n).integers(0, math.factorial(n), 20_000)
+        assert_rank_moves(unrank_rows(n, ranks))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 20).flatmap(lambda n: st.permutations(range(n))))
-    def test_property_up_to_degree_20(self, images):
-        assert_rank_deltas(np.array([images], dtype=np.int64))
+    @given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(n))))
+    def test_property_up_to_degree_12(self, images):
+        # the degrees bfs_distances accepts
+        assert_rank_moves(np.array([images], dtype=np.int64))
 
 
 class TestSandwich:

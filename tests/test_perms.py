@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perml1.embed import avg_vs_min_check, circle_median, count_separating_intervals, interior_contains_zero
 from perml1.perms import (
     CINV,
     C,
@@ -147,6 +148,20 @@ class TestCycleMetric:
         assert cycle_diam(9, {4}) == 0
         assert cycle_diam(9, set()) == 0
         assert cycle_diam(5, range(5)) == 2
+
+    @pytest.mark.parametrize("call", [
+        lambda: cycle_dist(0, 1, 2),
+        lambda: cycle_diam(0, [1, 2]),
+        lambda: interior_contains_zero(0, 1, 2),
+        lambda: circle_median(0, [1]),
+        lambda: count_separating_intervals(0, [1]),
+        lambda: avg_vs_min_check(0, [1]),
+    ], ids=["cycle_dist", "cycle_diam", "interior_contains_zero", "circle_median", "count_separating_intervals",
+            "avg_vs_min_check"])
+    def test_circle_helpers_refuse_degree_zero(self, call):
+        # the circle Z/0 has no residues: refused before the first residue mod n
+        with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+            call()
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_diam_bounded_by_half(self, n):
