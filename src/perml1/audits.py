@@ -20,23 +20,30 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from math import factorial, isclose, sqrt
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .embed import (
+    _ROWS_PER_CHUNK,
     DEFAULT_GRID_SCALE,
+    _chord_kernel,
     _coordinate_distances,
     _coordinate_temp_bytes,
+    _grid_distances,
     _identity_temp_bytes,
+    _inverse_columns,
+    _profile_distances,
     check_scale1,
     identity_distances,
 )
 from .embed import interval_profile  # noqa: F401  the benchmark's tracer (perfbench/spans.py) wraps this binding
 from .metric import (
     _bfs_bytes,
+    _circulant,
     _formula_batch_bytes,
+    _heavy_diameters,
     _moved_blocks,
     _rank_moves,
     bfs_distances,
@@ -45,7 +52,7 @@ from .metric import (
     generator_neighbors_rows,
     rank_rows,
 )
-from .perms import Permutation, _block_degree, _integers, _signed_cells, unrank_rows
+from .perms import Permutation, _block_degree, _displacements, _histograms, _integers, _signed_cells, unrank_rows
 from .perms import all_permutations  # noqa: F401  the benchmark's tracer (perfbench/spans.py) wraps this binding
 
 __all__ = [
@@ -95,9 +102,55 @@ def _bracket(sums: np.ndarray, diams: np.ndarray) -> tuple[np.ndarray, np.ndarra
     d_lo = np.add(diams, sums, out=diams).min(axis=1) / 3.0
     sums *= 2
     d_hi = 2.0 * np.add(diams, sums, out=diams).min(axis=1)  # twice min(3*sum + diam)
+    return _checked_bracket(d_lo, d_hi)
+
+
+def _checked_bracket(d_lo: np.ndarray, d_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d_lo, d_hi), after checking that no lower end passes its upper end."""
     if (d_lo > d_hi).any():
         raise PropertyViolation("formula bracket inverted: F/3 > min(6*sum+2*diam)")
     return d_lo, d_hi
+
+
+def _pair_terms(p_rows: np.ndarray, q_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """identity_distances(sigma) and _bracket(*formula_terms_batch(sigma)) for
+    sigma = q p^-1 of each pair of rows, (grid, profile, d_lo, d_hi), read off
+    the pairs 4,096 at a time without forming sigma (distortion_audit's
+    envelope proof).  One histogram of the q(k) - p(k) gives the grid term
+    (_grid_distances) and the shift sums (times _circulant); a heavy shift
+    l = -d matches the positions p(k) with q(k) - p(k) = d, so its member bits
+    are scattered to the p(k) (_heavy_diameters); sigma^-1 is the scatter
+    [q(k)] = p(k) (_inverse_columns).  The sums are integers below 2**53, and
+    the chunks and histograms are those of identity_distances(sigma), so the
+    four outputs are the reference's bit for bit.
+    """
+    m, n = p_rows.shape
+    half = n // 2
+    circulant, kernel = _circulant(n), _chord_kernel(n)
+    grid, profile, d_lo, d_hi = (np.empty(m) for _ in range(4))
+    for lo in range(0, m, _ROWS_PER_CHUNK):
+        p, q = p_rows[lo:lo + _ROWS_PER_CHUNK], q_rows[lo:lo + _ROWS_PER_CHUNK]
+        hi = lo + len(p)
+        disp = _displacements(q, p)
+        hist = _histograms(disp)
+        r, d = np.divmod(np.flatnonzero(hist >= n - half), n)  # the heavy entries, by row and displacement
+        l = -d % n
+        bits = np.empty((len(r), n), dtype=bool)
+        np.put_along_axis(bits, p[r], disp[r] != d[:, None], axis=1)  # at position p(k): k is no match of shift l
+        del disp
+        hist = hist.astype(np.float64)
+        sums = circulant @ hist.T  # (n, rows): C is symmetric, and the sums are exact integers in any order
+        heavy, least = sums[l, r], sums.min(axis=0)
+        del sums
+        grid[lo:hi] = _grid_distances(hist, kernel)
+        del hist
+        diams = _heavy_diameters(bits, l)
+        one, three = least + half, 3 * least + half
+        np.minimum.at(one, r, heavy + diams)
+        np.minimum.at(three, r, 3 * heavy + diams)
+        d_lo[lo:hi], d_hi[lo:hi] = one / 3.0, 2.0 * three
+        profile[lo:hi] = _profile_distances(_inverse_columns(q, p))
+    return grid, profile, *_checked_bracket(d_lo, d_hi)
 
 
 def _quotients(p_rows: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
@@ -129,29 +182,38 @@ def _check_witnesses(*rows: np.ndarray) -> list[tuple[str, str]]:
     return [(str(p), str(q)) for p, q in pairs]
 
 
-def _score(sigma: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray,
-           scale1: float) -> tuple[int, tuple[float, np.ndarray], tuple[float, np.ndarray]]:
-    """Score a batch of rows sigma against their word-length bracket
-    [d_lo, d_hi]: (rows scored, (max expansion, its row), (max contraction,
-    its row)).  Rows with d_lo = 0, a sampled pair that repeats an element,
-    are not scored; a scored row at combined distance 0 is a violation."""
+def _combined(grid: np.ndarray, profile: np.ndarray, scale1: float) -> np.ndarray:
+    """The combined distances scale1 * grid + profile; one that overflows reads inf, which _score refuses."""
+    with np.errstate(over="ignore"):
+        return scale1 * grid + profile
+
+
+def _score(emb: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray, scale1: float,
+           row: Callable[[int], np.ndarray]) -> tuple[int, tuple[float, np.ndarray], tuple[float, np.ndarray]]:
+    """Score a batch of combined distances emb (_combined) against their
+    word-length bracket [d_lo, d_hi]: (rows scored, (max expansion, its row),
+    (max contraction, its row)), where row(i) is the one-line row of sigma i.
+    Rows with d_lo = 0, a sampled pair that repeats an element, are not
+    scored; a scored row at combined distance 0 is a violation.  The first
+    index wins ties."""
     distinct = d_lo > 0
     if not distinct.any():  # a usage problem, not a failed property: there is no pair to score
         raise ValueError("all sampled pairs were identical; increase sample_size")
-    grid, profile = identity_distances(sigma)
-    with np.errstate(over="ignore"):
-        emb = scale1 * grid + profile
-    del grid, profile  # _check_witnesses recomputes the witnesses' parts
     if not np.isfinite(emb.max()):  # distances are >= 0: the max is inf or nan iff one is
         raise ValueError(f"combined distances overflow at scale1 = {scale1}")
     exp_ratios = np.where(distinct, emb / np.maximum(d_lo, 1e-300), -1.0)
     con_ratios = np.where(distinct, d_hi / np.maximum(emb, 1e-300), -1.0)
     ei, ci = int(exp_ratios.argmax()), int(con_ratios.argmax())
     if emb[ci] == 0:  # a distinct pair at distance 0 has the largest contraction, >= 1e300 / 3
-        p, q = _witness(sigma[ci])
+        p, q = _witness(row(ci))
         raise PropertyViolation(f"the combined embedding maps distinct elements {p} and {q} to one point")
-    return (int(distinct.sum()), (float(exp_ratios[ei]), sigma[ei].copy()),
-            (float(con_ratios[ci]), sigma[ci].copy()))
+    return int(distinct.sum()), (float(exp_ratios[ei]), row(ei)), (float(con_ratios[ci]), row(ci))
+
+
+def _score_rows(sigma: np.ndarray, d: np.ndarray,
+                scale1: float) -> tuple[int, tuple[float, np.ndarray], tuple[float, np.ndarray]]:
+    """_score for rows sigma at exact word lengths d: identity_distances's closed forms against d."""
+    return _score(_combined(*identity_distances(sigma), scale1), d, d, scale1, lambda i: sigma[i].copy())
 
 
 def distortion_audit(
@@ -170,7 +232,21 @@ def distortion_audit(
     and those of the sweep after it are checked against MEMORY_BUDGET before
     the BFS runs (the sweep holds the n! table and one range: Sym_12 fits).
     Envelope mode scores sampled pairs against the two-sided formula bracket
-    instead: an estimate, not a bound.
+    [F/3, min(6*sum+2*diam)] instead: an estimate, not a bound.  The pairs are
+    drawn as int64 rows a piece at a time and kept in the narrow dtype, and
+    _pair_terms scores them without forming sigma, whose rows are formed for
+    the two witnesses only:
+
+    * sigma(p(k)) = q(k), so sigma's displacement multiset is
+      {q(k) - p(k) mod n}: the grid term and the shift sums s_l need only its
+      histogram, and the profile needs only sigma^-1 = p q^-1.
+    * The bracket from row minima: every diameter term is at most
+      h = n // 2, the largest distance on the ring, and equals it at every
+      light shift (formula_terms_batch's lemma).  So for a = 1 and a = 3,
+      min_l (a s_l + diam_l) = min(a min_l s_l + h, min over heavy l of
+      a s_l + diam_l): a light shift's term a s_l + h is at least
+      a min_l s_l + h, and the term at the sums' argmin is at most that.
+      F is the case a = 1, and min(6 sum + 2 diam) is twice the case a = 3.
     """
     start = time.perf_counter()
     if mode not in ("exact", "envelope"):
@@ -204,7 +280,7 @@ def distortion_audit(
             checked, expansion, contraction = 0, (-1.0, None), (-1.0, None)
             for lo in range(1, size, block):  # rank 0 is the identity
                 d = table.dist[lo:lo + block]
-                scored, exp, con = _score(unrank_rows(n, np.arange(lo, lo + len(d))), d, d, scale1)
+                scored, exp, con = _score_rows(unrank_rows(n, np.arange(lo, lo + len(d))), d, scale1)
                 checked += scored
                 # strict: the first rank wins ties, as an argmax over all of Sym_n would
                 expansion = exp if exp[0] > expansion[0] else expansion
@@ -216,20 +292,30 @@ def distortion_audit(
             jj = np.where(jj >= ii, jj + 1, jj)
             sigma = _quotients(unrank_rows(n, ii), unrank_rows(n, jj))
             d = table.dist[rank_rows(sigma)]
-            checked, expansion, contraction = _score(sigma, d, d, scale1)
+            checked, expansion, contraction = _score_rows(sigma, d, scale1)
     else:
-        # per pair: the narrow quotient, the bracket and the scores; and the largest stage: the two int64 draws
-        # with q's narrow copy, the kernel, identity_distances, or the witness re-check
-        m, cell = sample_size, _signed_cells(n)
-        largest = max((16 + cell.itemsize) * m * n, _formula_batch_bytes(m, n), _identity_temp_bytes(m, n),
-                      _coordinate_temp_bytes(n))
-        check_memory(m * (cell.itemsize * n + 49) + largest, f"the envelope audit of {m:,} pairs in Sym_{n}")
+        # per pair: p's and q's narrow rows, and 57 bytes of scores (the four terms, then the combined distances,
+        # the bracket, the distinct mask, the ratios and two temporaries); and the largest stage: a piece of int64
+        # draws, one chunk of _pair_terms (identity_distances' chunk, the circulant, its BLAS-packed copy and 64
+        # bytes a pair of heavy entries and bracket minima), or the witness re-check
+        m, cell, chunk = sample_size, _signed_cells(n), min(sample_size, _ROWS_PER_CHUNK)
+        largest = max(8 * chunk * n, _identity_temp_bytes(m, n) + 16 * n * n + 64 * chunk, _coordinate_temp_bytes(n))
+        check_memory(m * (2 * cell.itemsize * n + 57) + largest, f"the envelope audit of {m:,} pairs in Sym_{n}")
         # each row is the rng.permutation(n) draw, in order, shuffled in place: int64 rows shuffle faster
-        draws = np.tile(np.arange(n), (2, m, 1))
-        rng.permuted(draws, axis=2, out=draws)
-        sigma = _quotients(draws[0], draws[1].astype(cell))  # narrow, as the quotient takes q's dtype
-        del draws
-        checked, expansion, contraction = _score(sigma, *_bracket(*formula_terms_batch(sigma)), scale1)
+        pairs = np.empty((2, m, n), dtype=cell)
+        draws = np.empty((chunk, n), dtype=np.int64)
+        for rows in pairs:  # p's rows, then q's, a piece at a time, as one rng.permuted call on all 2m rows
+            for lo in range(0, m, chunk):
+                piece = draws[:m - lo]
+                piece[:] = np.arange(n)
+                rows[lo:lo + chunk] = rng.permuted(piece, axis=1, out=piece)
+        del draws, piece
+        p_rows, q_rows = pairs
+        grid, profile, d_lo, d_hi = _pair_terms(p_rows, q_rows)
+        emb = _combined(grid, profile, scale1)
+        del grid, profile
+        checked, expansion, contraction = _score(emb, d_lo, d_hi, scale1,
+                                                 lambda i: _quotients(p_rows[i:i + 1], q_rows[i:i + 1])[0])
 
     expansion_text, contraction_text = _check_witnesses(expansion[1], contraction[1])
     return DistortionReport(

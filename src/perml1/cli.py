@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 from math import factorial
 from typing import Iterator, Optional, Sequence, TextIO
 
@@ -290,10 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call: parsing leaves it unchanged, and each
+# subcommand's cmd_* function looks up its collaborators when it runs.
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
     try:

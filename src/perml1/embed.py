@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .perms import Permutation, _check_degree, _rows, _signed_cells, cycle_dist, inverse
+from .perms import Permutation, _check_degree, _displacements, _histograms, _rows, _signed_cells, cycle_dist, inverse
 
 __all__ = [
     "INTERIOR_MARGIN", "DEFAULT_GRID_SCALE",
@@ -257,9 +257,11 @@ def identity_distances(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Rows are taken 4,096 at a time in the narrowest signed dtype that holds
     [-n, n] (int8 up to n = 127, int16 above), whatever the input's integer
-    dtype: no int64 copy of a chunk is made, the histogram's flat cell index
-    aside.  The profile half runs on the (n, chunk) layout of the inverse, one
-    row per value u, so the first breaks come from a running minimum over the
+    dtype: no int64 copy of a chunk is made, the flat cell indices of the
+    histogram and of the inverse's scatter aside.  The grid half is
+    _grid_distances of the displacement histograms.  The profile half
+    (_profile_distances) runs on the (n, chunk) layout of the inverse, one row
+    per value u, so the first breaks come from a running minimum over the
     rows, last to first, each step one vector operation on the chunk.  The
     histogram and its float64 product with K are those of the int64 rows, so
     the outputs are theirs bit for bit.  The rows are checked by _rows (2-D,
@@ -268,37 +270,59 @@ def identity_distances(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     sigma = _rows(sigma, "sigma")
     m, n = sigma.shape
-    ring = 2.0 * np.abs(np.sin(np.pi * np.arange(1 - n, n) / n))  # K's entry at a - b = d, at d + n - 1
-    kernel = as_strided(ring, (n, n), ring.strides * 2)[:, ::-1].copy()  # row a: ring[a:a + n] reversed
-    cells = _signed_cells(n)
-    k = np.arange(n, dtype=cells)
-    value = k[:, None]  # the value u of each row of the (n, chunk) layout
-    kept = n + n * (n + 1) // 2 - 1  # sum of cap: n + (n + (n - 1) + ... + 2)
-    offsets = n * np.arange(min(m, _ROWS_PER_CHUNK))[:, None]  # histogram row r's cells start at n r
+    kernel = _chord_kernel(n)
+    k = np.arange(n, dtype=_signed_cells(n))
     grid, profile = np.empty(m), np.empty(m)
     for lo in range(0, m, _ROWS_PER_CHUNK):
         rows = sigma[lo:lo + _ROWS_PER_CHUNK]
-        disp = np.subtract(rows, k, dtype=cells, casting="unsafe", order="C")
-        disp += np.multiply(disp < 0, n, dtype=cells)  # s(k) - k mod n
-        hist = np.bincount((disp + offsets[:len(rows)]).ravel(), minlength=disp.size).reshape(-1, n).astype(np.float64)
-        grid[lo:lo + _ROWS_PER_CHUNK] = ((hist @ kernel) * hist).sum(axis=1)
-        del hist
-        np.put_along_axis(disp, rows, k, axis=1)  # the inverse rows, in place of the displacements
-        inv = disp.T.copy()
-        del disp
-        step = np.empty_like(inv)
-        np.subtract(inv[1:], inv[:-1], out=step[:-1])
-        np.subtract(inv[0], inv[-1], out=step[-1])
-        breaks = np.where((step == 1) | (step == 1 - n), n, value)  # a unit step is no break
-        del step
-        for u in range(n - 2, -1, -1):  # breaks[u] becomes the first break b >= u
-            np.minimum(breaks[u], breaks[u + 1], out=breaks[u])
-        breaks -= value  # run(u) - 1
-        np.maximum(inv, 1, out=inv)
-        np.subtract(n, inv, out=inv)  # cap(s^-1(u)) - 1
-        common = n + np.minimum(breaks, inv, out=breaks).sum(axis=0, dtype=np.int64)
-        profile[lo:lo + _ROWS_PER_CHUNK] = 2.0 * (kept - common) / n
+        grid[lo:lo + _ROWS_PER_CHUNK] = _grid_distances(_histograms(_displacements(rows, k)), kernel)
+        profile[lo:lo + _ROWS_PER_CHUNK] = _profile_distances(_inverse_columns(rows, k))
     return grid, profile
+
+
+def _chord_kernel(n: int) -> np.ndarray:
+    """K[a, b] = 2|sin(pi (a - b) / n)|, read off the 2n - 1 values of a - b."""
+    ring = 2.0 * np.abs(np.sin(np.pi * np.arange(1 - n, n) / n))  # K's entry at a - b = d, at d + n - 1
+    return as_strided(ring, (n, n), ring.strides * 2)[:, ::-1].copy()  # row a: ring[a:a + n] reversed
+
+
+def _grid_distances(hist: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """h^T K h of each row h of displacement histograms (m, n) -> (m,), for
+    K = _chord_kernel(n), in float64."""
+    hist = hist.astype(np.float64, copy=False)
+    return ((hist @ kernel) * hist).sum(axis=1)
+
+
+def _inverse_columns(images: np.ndarray, values) -> np.ndarray:
+    """The (n, m) C-ordered array with [images[r, k], r] = values[r, k], by one
+    flat scatter into fresh (m, n) rows and one transposed copy: with values
+    the positions 0..n-1, the columns are the rows' inverses."""
+    m, n = images.shape
+    inv = np.empty(m * n, dtype=_signed_cells(n))
+    inv[images + n * np.arange(m)[:, None]] = values
+    return inv.reshape(m, n).T.copy()
+
+
+def _profile_distances(inv: np.ndarray) -> np.ndarray:
+    """The profile distances of identity_distances from the inverses, (n, m)
+    columns in _signed_cells(n) (_inverse_columns), which are overwritten:
+    common is n + sum_u min(b - u, n - max(s^-1(u), 1)), with the first
+    breaks b from a running minimum over the rows, last to first."""
+    n = len(inv)
+    value = np.arange(n, dtype=inv.dtype)[:, None]  # the value u of each row of the (n, m) layout
+    kept = n + n * (n + 1) // 2 - 1  # sum of cap: n + (n + (n - 1) + ... + 2)
+    step = np.empty_like(inv)
+    np.subtract(inv[1:], inv[:-1], out=step[:-1])
+    np.subtract(inv[0], inv[-1], out=step[-1])
+    breaks = np.where((step == 1) | (step == 1 - n), n, value)  # a unit step is no break
+    del step
+    for u in range(n - 2, -1, -1):  # breaks[u] becomes the first break b >= u
+        np.minimum(breaks[u], breaks[u + 1], out=breaks[u])
+    breaks -= value  # run(u) - 1
+    np.maximum(inv, 1, out=inv)
+    np.subtract(n, inv, out=inv)  # cap(s^-1(u)) - 1
+    common = n + np.minimum(breaks, inv, out=breaks).sum(axis=0, dtype=np.int64)
+    return 2.0 * (kept - common) / n
 
 
 def circle_median(n: int, cloud: Sequence[int]) -> tuple[int, int]:

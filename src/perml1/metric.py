@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, chain
 from math import factorial
 from operator import add, mul, sub
@@ -19,7 +20,10 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .perms import Permutation, _block_degree, _integers, _rows, _signed_cells, compose, inverse, perm_rank
+from .perms import (
+    Permutation, _block_degree, _displacements, _histograms, _integers, _rows, _signed_cells, compose, inverse,
+    perm_rank,
+)
 
 __all__ = [
     "MEMORY_BUDGET", "ResourceLimitError", "check_memory",
@@ -133,6 +137,7 @@ def _block_moves(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return blocks, reorders
 
 
+@lru_cache(maxsize=1)  # the BFS drift walk reads the plans its bfs_distances call built
 def _rank_moves(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """How t, c and c^-1 (g = 0, 1, 2) move the Lehmer ranks of Sym_n, in blocks
     of k! ranks, k = _block_degree(n): (k!, maps, targets, offsets).  maps is
@@ -140,12 +145,16 @@ def _rank_moves(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     each; targets and offsets (3, n!/k!) hold the block that g sends block B
     to and the start in maps of the map it applies to B's tails, 0 where g
     keeps their order (_block_moves).  So rank B k! + j goes to rank
-    targets[g, B] k! + maps[offsets[g, B] + j]."""
+    targets[g, B] k! + maps[offsets[g, B] + j].  The last degree's plans are
+    kept, read-only."""
     k = _block_degree(n)
     block = factorial(k)
     targets, reorders = _block_moves(n, k)
     maps = np.concatenate([np.arange(block, dtype=np.uint16), _block_moves(k, 1)[0].ravel()], dtype=np.uint16)
-    return block, maps, targets.astype(np.int64), block * np.arange(1, 4)[:, None] * reorders
+    plans = maps, targets.astype(np.int64), block * np.arange(1, 4)[:, None] * reorders
+    for plan in plans:
+        plan.flags.writeable = False
+    return block, *plans
 
 
 def _moved_blocks(moves: tuple, g: np.ndarray, head: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -375,28 +384,41 @@ def formula_terms_batch(perms: np.ndarray, chunk: int = _FORMULA_CHUNK) -> tuple
     perms = _rows(perms)
     m, n = perms.shape
     pos = np.arange(n)
-    cells = _signed_cells(n)
-    dist0 = np.minimum(pos, n - pos)
-    ring = np.concatenate([dist0, dist0]).astype(np.float64)
-    circulant = sliding_window_view(ring, n)[:n].copy()  # C[d, l] = ring[d + l]
+    circulant = _circulant(n)
     sums = np.empty((m, n), dtype=np.int64)
     diams = np.full((m, n), n // 2, dtype=np.int64)
     block, _ = _row_block(n, chunk)
     for lo in range(0, m, block):
-        disp = np.subtract(perms[lo:lo + block], pos, dtype=cells, casting="unsafe")
-        disp += np.multiply(disp < 0, n, dtype=cells)
-        hist = np.bincount((np.arange(len(disp))[:, None] * n + disp).ravel(), minlength=disp.size).reshape(disp.shape)
+        disp = _displacements(perms[lo:lo + block], pos)
+        hist = _histograms(disp)
         sums[lo:lo + block] = hist.astype(np.float64) @ circulant  # BLAS
         r, d = np.nonzero(hist >= n - n // 2)  # the heavy entries (2 hist >= n), by row and displacement
         del hist
         l = -d % n
-        bits = disp[r] != d[:, None]
-        bits[:, 0] = bits[np.arange(len(r)), l] = True
-        ring = np.flatnonzero(np.concatenate([bits, bits], axis=1))
-        entry, x = np.nonzero(bits)
-        starts = np.flatnonzero(x == 0)  # position 0 is each entry's first member
-        x += 2 * n * entry  # each member's key on the first half of its ring
-        del bits, entry
-        near = ring[np.searchsorted(ring, x + n // 2, side="right") - 1]
-        diams[lo + r, l] = np.maximum.reduceat(near - x, starts)
+        diams[lo + r, l] = _heavy_diameters(disp[r] != d[:, None], l)
     return sums, diams
+
+
+def _circulant(n: int) -> np.ndarray:
+    """The sum term's circulant as float64, C[d, l] = dist0[(d + l) mod n]:
+    a displacement histogram times C is its row's sums at every shift."""
+    pos = np.arange(n)
+    dist0 = np.minimum(pos, n - pos)
+    ring = np.concatenate([dist0, dist0]).astype(np.float64)
+    return sliding_window_view(ring, n)[:n].copy()  # C[d, l] = ring[d + l]
+
+
+def _heavy_diameters(bits: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """The diameter term of each heavy shift l[e] by the antipodal search of
+    formula_terms_batch, (e, n) -> (e,).  Row e of bits marks the positions
+    where its row differs from the rotation x -> x - l[e]; 0 and l[e] are
+    marked here, which makes the row shift l[e]'s member set."""
+    e, n = bits.shape
+    bits[:, 0] = bits[np.arange(e), l] = True
+    ring = np.flatnonzero(np.concatenate([bits, bits], axis=1))
+    entry, x = np.nonzero(bits)
+    starts = np.flatnonzero(x == 0)  # position 0 is each entry's first member
+    x += 2 * n * entry  # each member's key on the first half of its ring
+    del bits, entry
+    near = ring[np.searchsorted(ring, x + n // 2, side="right") - 1]
+    return np.maximum.reduceat(near - x, starts)

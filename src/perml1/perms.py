@@ -290,6 +290,24 @@ def _signed_cells(n: int) -> np.dtype:
     return np.min_scalar_type(-n - 1)
 
 
+def _displacements(images: np.ndarray, start) -> np.ndarray:
+    """(images - start) mod n in _signed_cells(n), for rows of width n, as
+    C-ordered rows: with start the positions 0..n-1, each row's
+    displacements p(k) - k."""
+    n = images.shape[1]
+    cells = _signed_cells(n)
+    disp = np.subtract(images, start, dtype=cells, casting="unsafe", order="C")
+    disp += np.multiply(disp < 0, n, dtype=cells)
+    return disp
+
+
+def _histograms(disp: np.ndarray) -> np.ndarray:
+    """Each row's histogram of its values in [0, n), (m, n) -> (m, n) int64:
+    one bincount of the flat cells n r + d."""
+    m, n = disp.shape
+    return np.bincount((disp + n * np.arange(m)[:, None]).ravel(), minlength=disp.size).reshape(m, n)
+
+
 def _integers(**args) -> list[Optional[int]]:
     """Integer arguments as ints, in order: no bools, sample_size and seed may be None, seed >= 0."""
     for name, value in args.items():

@@ -20,9 +20,9 @@ from perml1.audits import (
     drift_walk,
     hamming_embed,
 )
-from perml1.embed import DEFAULT_GRID_SCALE, combined_distance, combined_embed
+from perml1.embed import DEFAULT_GRID_SCALE, combined_distance, combined_embed, identity_distances
 from perml1.metric import ResourceLimitError, bfs_distances, formula_terms_batch, generator_neighbors_rows, rank_rows
-from perml1.perms import Permutation, all_permutations, compose, inverse, perm_unrank, unrank_rows
+from perml1.perms import Permutation, _signed_cells, all_permutations, compose, inverse, perm_unrank, unrank_rows
 
 
 def reference_sampled_exact(n, sample_size, seed):
@@ -36,7 +36,7 @@ def reference_sampled_exact(n, sample_size, seed):
     jj = np.where(jj >= ii, jj + 1, jj)
     sigma = audits._quotients(elements[ii], elements[jj])
     d = bfs_distances(n).dist[rank_rows(sigma)]
-    checked, (exp, exp_row), (con, con_row) = audits._score(sigma, d, d, DEFAULT_GRID_SCALE)
+    checked, (exp, exp_row), (con, con_row) = audits._score_rows(sigma, d, DEFAULT_GRID_SCALE)
     exp_text, con_text = audits._check_witnesses(exp_row, con_row)
     return masked(DistortionReport(n, "exact", checked, exp, exp_text, con, con_text, exp * con, DEFAULT_GRID_SCALE,
                                    sample_size, seed, 0.0).to_json_dict())
@@ -265,10 +265,10 @@ class TestDistortionEnvelope:
         # the audit draws p's rows, then q's, as rng.permutation(n) would one row at a time,
         # and leaves its generator where those draws leave it
         generators, drawn = [], []
-        default_rng, quotients = np.random.default_rng, audits._quotients
+        default_rng, pair_terms = np.random.default_rng, audits._pair_terms
         made = lambda s: generators.append(default_rng(s)) or generators[-1]  # noqa: E731
         monkeypatch.setattr(audits.np.random, "default_rng", made)
-        monkeypatch.setattr(audits, "_quotients", lambda p, q: drawn.append((p, q)) or quotients(p, q))
+        monkeypatch.setattr(audits, "_pair_terms", lambda p, q: drawn.append((p, q)) or pair_terms(p, q))
         distortion_audit(n, mode="envelope", sample_size=40, seed=seed)
         reference = default_rng(seed)
         for rows in drawn[0]:
@@ -288,11 +288,11 @@ class TestDistortionEnvelope:
 
     @pytest.mark.parametrize("n, dtype", [(8, np.int8), (127, np.int8), (128, np.int16), (300, np.int16)])
     def test_scores_narrow_rows(self, n, dtype, monkeypatch):
-        # the draws are int64 rows, which shuffle fastest; the quotient is taken in the narrow dtype
-        scored, score = [], audits._score
-        monkeypatch.setattr(audits, "_score", lambda sigma, *rest: scored.append(sigma.dtype) or score(sigma, *rest))
+        # the draws are int64 rows, which shuffle fastest; the pairs are scored in the narrow dtype
+        scored, pair_terms = [], audits._pair_terms
+        monkeypatch.setattr(audits, "_pair_terms", lambda p, q: scored.append((p.dtype, q.dtype)) or pair_terms(p, q))
         distortion_audit(n, mode="envelope", sample_size=30, seed=4)
-        assert scored == [np.dtype(dtype)]
+        assert scored == [(np.dtype(dtype), np.dtype(dtype))]
 
 
 class TestQuotients:
@@ -307,6 +307,68 @@ class TestQuotients:
         for p, q, row in zip(p_rows, q_rows, sigma):
             p, q = (Permutation(n, tuple(int(x) for x in r)) for r in (p, q))
             assert tuple(row.tolist()) == compose(q, inverse(p)).images
+
+
+def pair_rows(n, count, seed, dtype=None):
+    """`count` seeded rows of Sym_n, in the narrow dtype the envelope draws take by default."""
+    rng = np.random.default_rng(seed)
+    rows = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
+    return rows.astype(dtype or _signed_cells(n))
+
+
+class TestPairTerms:
+    """_pair_terms against the reference composition on sigma = q p^-1, bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(p_rows, q_rows):
+        sigma = audits._quotients(p_rows, q_rows)
+        reference = (*identity_distances(sigma), *audits._bracket(*formula_terms_batch(sigma)))
+        got = audits._pair_terms(p_rows, q_rows)
+        for name, value, want in zip(("grid", "profile", "d_lo", "d_hi"), got, reference):
+            assert value.dtype == want.dtype == np.float64, name
+            assert value.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_seeded_pairs(self, n):
+        # at small degrees most quotients have a heavy shift, many of them two
+        self.assert_matches_reference(pair_rows(n, 3000, n), pair_rows(n, 3000, 100 + n))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 20, 200])
+    def test_equal_pairs(self, n):
+        rows = pair_rows(n, 50, n)
+        self.assert_matches_reference(rows, rows.copy())
+        d_lo = audits._pair_terms(rows, rows)[2]
+        assert not d_lo.any()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 40, 129])
+    def test_near_rotations(self, n):
+        # q = c^k t p, so sigma = c^k t: n - 2 positions move by k, a heavy shift for every k once n >= 4
+        p = pair_rows(n, n, n)
+        t = np.arange(n)
+        t[:2] = t[1::-1]
+        q = ((t[p.astype(np.int64)] + np.arange(n)[:, None]) % n).astype(p.dtype)
+        self.assert_matches_reference(p, q)
+
+    @pytest.mark.parametrize("n", [128, 300])
+    def test_int16_degrees(self, n):
+        p, q = pair_rows(n, 300, 1), pair_rows(n, 300, 2)
+        assert p.dtype == np.int16
+        self.assert_matches_reference(p, q)
+
+    @pytest.mark.parametrize("n, count", [(6, 9000), (20, 4097)])
+    def test_more_than_one_chunk(self, n, count):
+        assert count > embed._ROWS_PER_CHUNK
+        self.assert_matches_reference(pair_rows(n, count, 5), pair_rows(n, count, 6))
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_wider_rows(self, dtype):
+        self.assert_matches_reference(pair_rows(9, 500, 1, dtype), pair_rows(9, 500, 2, dtype))
+
+    def test_envelope_forms_only_the_witnesses(self, monkeypatch):
+        formed, quotients = [], audits._quotients
+        monkeypatch.setattr(audits, "_quotients", lambda p, q: formed.append(len(p)) or quotients(p, q))
+        distortion_audit(20, mode="envelope", sample_size=5000, seed=3)
+        assert formed == [1, 1]
 
 
 class TestMemoryBudget:
@@ -390,7 +452,7 @@ class TestMemoryBudget:
         assert peak <= largest
 
     @pytest.mark.parametrize("call, what", [
-        (lambda: distortion_audit(2531, mode="envelope"), "envelope audit of 20,000 pairs in Sym_2531 needs"),
+        (lambda: distortion_audit(3384, mode="envelope"), "envelope audit of 20,000 pairs in Sym_3384 needs"),
         (lambda: drift_walk(100, 1, 10 ** 6), "formula drift walk of 1,000,000 walkers on Sym_100 needs"),
         (lambda: cube_audit(40), "cube audit of 820 classes at degree 6400 needs"),
     ], ids=["envelope", "drift", "cube"])
@@ -504,6 +566,14 @@ class TestDrift:
     def test_starts_at_zero(self):
         series = drift_walk(8, 4, 64, seed=0)
         assert series.series[0].mean == 0.0
+
+    def test_bfs_walk_builds_the_block_plans_once(self, monkeypatch):
+        # the walk moves its walkers by the plans its bfs_distances call built
+        built, block_moves = [], metric._block_moves
+        monkeypatch.setattr(metric, "_block_moves", lambda n, k: built.append((n, k)) or block_moves(n, k))
+        metric._rank_moves.cache_clear()
+        drift_walk(9, 3, 100, seed=1, proxy="bfs")
+        assert built == [(9, 8), (8, 1)]
 
     def test_first_step_bfs_is_exactly_one(self):
         series = drift_walk(6, 3, 256, seed=1, proxy="bfs")

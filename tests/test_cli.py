@@ -372,6 +372,15 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "--version")
         assert code == 0 and out.startswith("perml1")
 
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        # main parses every call with one parser; build_parser still builds a fresh one
+        run_cli(capsys, "formula", "--perm", "1,2,0")
+        monkeypatch.setattr(cli._Parser, "__init__", lambda *args, **kwargs: pytest.fail("parser rebuilt"))
+        assert run_cli(capsys, "formula", "--perm", "2,0,1")[0] == 0
+        assert run_cli(capsys, "oracle")[0] == 1 and run_cli(capsys, "--version")[0] == 0
+        monkeypatch.undo()
+        assert cli.build_parser() is not cli.build_parser()
+
     @pytest.mark.parametrize("argv", [
         ["formula", "--perm", "1,2,0"],
         ["synth", "--perm", "1,2,0"],
