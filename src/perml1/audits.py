@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from math import factorial, isclose, sqrt
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -112,45 +112,39 @@ def _checked_bracket(d_lo: np.ndarray, d_hi: np.ndarray) -> tuple[np.ndarray, np
     return d_lo, d_hi
 
 
-def _pair_terms(p_rows: np.ndarray, q_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _pair_terms(p: np.ndarray, q: np.ndarray, circulant: np.ndarray,
+                kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """identity_distances(sigma) and _bracket(*formula_terms_batch(sigma)) for
-    sigma = q p^-1 of each pair of rows, (grid, profile, d_lo, d_hi), read off
-    the pairs 4,096 at a time without forming sigma (distortion_audit's
-    envelope proof).  One histogram of the q(k) - p(k) gives the grid term
-    (_grid_distances) and the shift sums (times _circulant); a heavy shift
-    l = -d matches the positions p(k) with q(k) - p(k) = d, so its member bits
-    are scattered to the p(k) (_heavy_diameters); sigma^-1 is the scatter
-    [q(k)] = p(k) (_inverse_columns).  The sums are integers below 2**53, and
-    the chunks and histograms are those of identity_distances(sigma), so the
-    four outputs are the reference's bit for bit.
-    """
-    m, n = p_rows.shape
+    sigma = q p^-1 of each pair of rows in one chunk of at most 4,096 pairs,
+    (grid, profile, d_lo, d_hi), without forming sigma (distortion_audit's
+    proof), given _circulant(n) and _chord_kernel(n).  One histogram of the
+    q(k) - p(k) gives the grid term (_grid_distances) and the shift sums
+    (times the circulant); a heavy shift l = -d matches the positions p(k)
+    with q(k) - p(k) = d, so its member bits are scattered to the p(k)
+    (_heavy_diameters); sigma^-1 is the scatter [q(k)] = p(k)
+    (_inverse_columns).  The sums are integers below 2**53, and the chunk and
+    its histograms are those of identity_distances(sigma), so the four
+    outputs are the reference's bit for bit."""
+    n = p.shape[1]
     half = n // 2
-    circulant, kernel = _circulant(n), _chord_kernel(n)
-    grid, profile, d_lo, d_hi = (np.empty(m) for _ in range(4))
-    for lo in range(0, m, _ROWS_PER_CHUNK):
-        p, q = p_rows[lo:lo + _ROWS_PER_CHUNK], q_rows[lo:lo + _ROWS_PER_CHUNK]
-        hi = lo + len(p)
-        disp = _displacements(q, p)
-        hist = _histograms(disp)
-        r, d = np.divmod(np.flatnonzero(hist >= n - half), n)  # the heavy entries, by row and displacement
-        l = -d % n
-        bits = np.empty((len(r), n), dtype=bool)
-        np.put_along_axis(bits, p[r], disp[r] != d[:, None], axis=1)  # at position p(k): k is no match of shift l
-        del disp
-        hist = hist.astype(np.float64)
-        sums = circulant @ hist.T  # (n, rows): C is symmetric, and the sums are exact integers in any order
-        heavy, least = sums[l, r], sums.min(axis=0)
-        del sums
-        grid[lo:hi] = _grid_distances(hist, kernel)
-        del hist
-        diams = _heavy_diameters(bits, l)
-        one, three = least + half, 3 * least + half
-        np.minimum.at(one, r, heavy + diams)
-        np.minimum.at(three, r, 3 * heavy + diams)
-        d_lo[lo:hi], d_hi[lo:hi] = one / 3.0, 2.0 * three
-        profile[lo:hi] = _profile_distances(_inverse_columns(q, p))
-    return grid, profile, *_checked_bracket(d_lo, d_hi)
+    disp = _displacements(q, p)
+    hist = _histograms(disp)
+    r, d = np.divmod(np.flatnonzero(hist >= n - half), n)  # the heavy entries, by row and displacement
+    l = -d % n
+    bits = np.empty((len(r), n), dtype=bool)
+    np.put_along_axis(bits, p[r], disp[r] != d[:, None], axis=1)  # at position p(k): k is no match of shift l
+    del disp
+    hist = hist.astype(np.float64)
+    sums = circulant @ hist.T  # (n, rows): C is symmetric, and the sums are exact integers in any order
+    heavy, least = sums[l, r], sums.min(axis=0)
+    del sums
+    grid = _grid_distances(hist, kernel)
+    del hist
+    diams = _heavy_diameters(bits, l)
+    one, three = least + half, 3 * least + half
+    np.minimum.at(one, r, heavy + diams)
+    np.minimum.at(three, r, 3 * heavy + diams)
+    return grid, _profile_distances(_inverse_columns(q, p)), *_checked_bracket(one / 3.0, 2.0 * three)
 
 
 def _quotients(p_rows: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
@@ -158,6 +152,11 @@ def _quotients(p_rows: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
     sigma = np.empty_like(q_rows)
     np.put_along_axis(sigma, p_rows, q_rows, axis=1)
     return sigma
+
+
+def _pair_row(p: np.ndarray, q: np.ndarray) -> Callable[[int], np.ndarray]:
+    """row(i) for _score: sigma = q p^-1 of the pair of rows i, formed when asked, for a witness."""
+    return lambda i: _quotients(p[i:i + 1], q[i:i + 1])[0]
 
 
 def _witness(row: np.ndarray) -> tuple[Permutation, Permutation]:
@@ -182,38 +181,42 @@ def _check_witnesses(*rows: np.ndarray) -> list[tuple[str, str]]:
     return [(str(p), str(q)) for p, q in pairs]
 
 
-def _combined(grid: np.ndarray, profile: np.ndarray, scale1: float) -> np.ndarray:
-    """The combined distances scale1 * grid + profile; one that overflows reads inf, which _score refuses."""
-    with np.errstate(over="ignore"):
-        return scale1 * grid + profile
-
-
-def _score(emb: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray, scale1: float,
-           row: Callable[[int], np.ndarray]) -> tuple[int, tuple[float, np.ndarray], tuple[float, np.ndarray]]:
-    """Score a batch of combined distances emb (_combined) against their
-    word-length bracket [d_lo, d_hi]: (rows scored, (max expansion, its row),
-    (max contraction, its row)), where row(i) is the one-line row of sigma i.
-    Rows with d_lo = 0, a sampled pair that repeats an element, are not
-    scored; a scored row at combined distance 0 is a violation.  The first
-    index wins ties."""
-    distinct = d_lo > 0
-    if not distinct.any():  # a usage problem, not a failed property: there is no pair to score
+def _score(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Callable[[int], np.ndarray]]],
+           scale1: float) -> tuple[int, tuple[float, np.ndarray], tuple[float, np.ndarray]]:
+    """Score each block (grid, profile, d_lo, d_hi, row) of rows at combined
+    distance scale1 * grid + profile against the word-length bracket
+    [d_lo, d_hi], as it is made, and keep the running best: (rows scored,
+    (max expansion, its row), (max contraction, its row)), where row(i) forms
+    the block's row i of sigma, for the witnesses alone.  Rows with d_lo = 0,
+    a sampled pair that repeats an element, are not scored: if none is, that
+    is a ValueError.  A scored row at combined distance 0 is a violation.
+    Only a larger ratio replaces the best, so the first row wins ties, as one
+    argmax over the blocks' rows in order would."""
+    checked, expansion, contraction, collapsed = 0, (-1.0, None), (-1.0, None), False
+    for grid, profile, d_lo, d_hi, row in blocks:
+        with np.errstate(over="ignore"):
+            emb = scale1 * grid + profile
+        del grid, profile
+        if not np.isfinite(emb.max()):  # distances are >= 0: the max is inf or nan iff one is
+            raise ValueError(f"combined distances overflow at scale1 = {scale1}")
+        distinct = d_lo > 0
+        checked += int(distinct.sum())
+        exp_ratios = np.where(distinct, emb / np.maximum(d_lo, 1e-300), -1.0)
+        ei = int(exp_ratios.argmax())
+        if exp_ratios[ei] > expansion[0]:
+            expansion = float(exp_ratios[ei]), (row, ei)
+        con_ratios = np.where(distinct, d_hi / np.maximum(emb, 1e-300), -1.0)
+        ci = int(con_ratios.argmax())
+        if con_ratios[ci] > contraction[0]:  # a distinct pair at distance 0 has a contraction >= 1e300 / 3
+            contraction, collapsed = (float(con_ratios[ci]), (row, ci)), emb[ci] == 0
+        del emb, distinct, exp_ratios, con_ratios  # before the next block is made
+    if not checked:  # a usage problem, not a failed property: there is no pair to score
         raise ValueError("all sampled pairs were identical; increase sample_size")
-    if not np.isfinite(emb.max()):  # distances are >= 0: the max is inf or nan iff one is
-        raise ValueError(f"combined distances overflow at scale1 = {scale1}")
-    exp_ratios = np.where(distinct, emb / np.maximum(d_lo, 1e-300), -1.0)
-    con_ratios = np.where(distinct, d_hi / np.maximum(emb, 1e-300), -1.0)
-    ei, ci = int(exp_ratios.argmax()), int(con_ratios.argmax())
-    if emb[ci] == 0:  # a distinct pair at distance 0 has the largest contraction, >= 1e300 / 3
-        p, q = _witness(row(ci))
+    (exp, (exp_row, ei)), (con, (con_row, ci)) = expansion, contraction
+    if collapsed:
+        p, q = _witness(con_row(ci))
         raise PropertyViolation(f"the combined embedding maps distinct elements {p} and {q} to one point")
-    return int(distinct.sum()), (float(exp_ratios[ei]), row(ei)), (float(con_ratios[ci]), row(ci))
-
-
-def _score_rows(sigma: np.ndarray, d: np.ndarray,
-                scale1: float) -> tuple[int, tuple[float, np.ndarray], tuple[float, np.ndarray]]:
-    """_score for rows sigma at exact word lengths d: identity_distances's closed forms against d."""
-    return _score(_combined(*identity_distances(sigma), scale1), d, d, scale1, lambda i: sigma[i].copy())
+    return checked, (exp, exp_row(ei)), (con, con_row(ci))
 
 
 def distortion_audit(
@@ -227,15 +230,16 @@ def distortion_audit(
 
     Each pair (p, q) is scored as sigma = q p^-1 against the identity.  Exact
     mode sweeps every sigma != id, which stands for all n!(n!-1) ordered
-    pairs, decoding one range of k! Lehmer ranks (unrank_rows) at a time, or
-    scores a seeded sample of pairs, against the BFS oracle; the BFS's bytes
-    and those of the sweep after it are checked against MEMORY_BUDGET before
-    the BFS runs (the sweep holds the n! table and one range: Sym_12 fits).
-    Envelope mode scores sampled pairs against the two-sided formula bracket
-    [F/3, min(6*sum+2*diam)] instead: an estimate, not a bound.  The pairs are
-    drawn as int64 rows a piece at a time and kept in the narrow dtype, and
-    _pair_terms scores them without forming sigma, whose rows are formed for
-    the two witnesses only:
+    pairs, or a seeded sample of pairs, against the BFS oracle.  Envelope mode
+    scores sampled pairs against the two-sided formula bracket
+    [F/3, min(6*sum+2*diam)] instead: an estimate, not a bound.  Every mode
+    makes a block at a time, k! consecutive Lehmer ranks (unrank_rows) in the
+    sweep or 4,096 sampled pairs, and _score reduces it as it is made.  The
+    bytes are checked against MEMORY_BUDGET first (in exact mode, before the
+    BFS): the n! table and one block, and 17 bytes a sampled pair of draws; in
+    the envelope, p's and q's narrow rows (2n bytes a pair up to n = 127),
+    drawn as int64 rows a piece at a time, and one chunk.  A sampled block is
+    scored from p and q, and sigma is formed for the witnesses alone:
 
     * sigma(p(k)) = q(k), so sigma's displacement multiset is
       {q(k) - p(k) mod n}: the grid term and the shift sums s_l need only its
@@ -260,47 +264,47 @@ def distortion_audit(
     if mode == "envelope" and sample_size is None:
         sample_size = 20000
     if n == 1:
-        return DistortionReport(
-            n, mode, 0, 1.0, ("", ""), 1.0, ("", ""), 1.0, scale1, sample_size, seed,
-            _elapsed_ms(start),
-        )
+        return DistortionReport(n, mode, 0, 1.0, ("", ""), 1.0, ("", ""), 1.0, scale1, sample_size, seed,
+                                _elapsed_ms(start))
     rng = np.random.default_rng(seed)
     if mode == "exact":
-        size, block = factorial(n), factorial(_block_degree(n))
-        # The BFS (_bfs_bytes); then the int8 table, and per scored row at the peak: the distinct
-        # mask and four float64 arrays (grid, profile, combined and a temporary, or combined,
-        # expansion ratios and two temporaries).  A swept row adds its int8 row, int64 rank, three
-        # int32 decoder digits and up to n bool carries; a sampled row its two draws (24), both int8
-        # rows, quotient, digits, carries.  The witness re-check runs after the sweep and holds _coordinate_temp_bytes(n), far less.
-        rows, per_row = (block, 33 + 2 * n + 20) if sample_size is None else (sample_size, 33 + 4 * n + 36)
-        check_memory(max(_bfs_bytes(n), size + rows * per_row + _identity_temp_bytes(rows, n)),
-                     f"the exact audit of Sym_{n}")
+        size, sampled = factorial(n), sample_size is not None
+        step = min(sample_size, _ROWS_PER_CHUNK) if sampled else factorial(_block_degree(n))
+        # The BFS (_bfs_bytes); then the int8 table, the sample's two int64 draws and jj's bool skip mask, and per
+        # row of a block: the distinct mask, four float64 arrays (grid, profile, combined and a temporary, or combined,
+        # ratios and two temporaries) and n bool decoder carries; a swept row's int8 row and two earlier blocks' that
+        # hold the best so far (3n), rank and three int32 digits, or a sampled row's p and q rows and two earlier
+        # blocks' (6n), digits, rank and two temporaries.  The witness re-check holds far less.
+        held = 17 * sample_size + step * (33 + 7 * n + 36) if sampled else step * (33 + 4 * n + 20)
+        check_memory(max(_bfs_bytes(n), size + held + _identity_temp_bytes(step, n)), f"the exact audit of Sym_{n}")
         table = bfs_distances(n)
-        if sample_size is None:
-            checked, expansion, contraction = 0, (-1.0, None), (-1.0, None)
-            for lo in range(1, size, block):  # rank 0 is the identity
-                d = table.dist[lo:lo + block]
-                scored, exp, con = _score_rows(unrank_rows(n, np.arange(lo, lo + len(d))), d, scale1)
-                checked += scored
-                # strict: the first rank wins ties, as an argmax over all of Sym_n would
-                expansion = exp if exp[0] > expansion[0] else expansion
-                contraction = con if con[0] > contraction[0] else contraction
-            checked *= size
-        else:
-            ii = rng.integers(0, size, sample_size)
-            jj = rng.integers(0, size - 1, sample_size)
-            jj = np.where(jj >= ii, jj + 1, jj)
-            sigma = _quotients(unrank_rows(n, ii), unrank_rows(n, jj))
-            d = table.dist[rank_rows(sigma)]
-            checked, expansion, contraction = _score_rows(sigma, d, scale1)
+        if sampled:
+            ii, jj = rng.integers(0, size, sample_size), rng.integers(0, size - 1, sample_size)  # in this order
+            jj += jj >= ii  # q != p
+            kernel = _chord_kernel(n)
+
+        def blocks():
+            for lo in range(0 if sampled else 1, sample_size or size, step):  # rank 0 is the identity
+                if sampled:  # identity_distances(sigma) as _pair_terms reads it, with no sigma formed
+                    p, q = unrank_rows(n, ii[lo:lo + step]), unrank_rows(n, jj[lo:lo + step])
+                    inverse = _inverse_columns(q, p)  # sigma^-1: t, c and c^-1 are closed under inverses,
+                    d = table.dist[rank_rows(inverse.T)]  # so its word length is sigma's
+                    grid = _grid_distances(_histograms(_displacements(q, p)), kernel)
+                    yield grid, _profile_distances(inverse), d, d, _pair_row(p, q)
+                else:
+                    rows, d = unrank_rows(n, np.arange(lo, min(lo + step, size))), table.dist[lo:lo + step]
+                    yield *identity_distances(rows), d, d, rows.__getitem__
+
+        checked, expansion, contraction = _score(blocks(), scale1)
+        checked *= 1 if sampled else size  # each swept sigma stands for its n! pairs
     else:
-        # per pair: p's and q's narrow rows, and 57 bytes of scores (the four terms, then the combined distances,
-        # the bracket, the distinct mask, the ratios and two temporaries); and the largest stage: a piece of int64
-        # draws, one chunk of _pair_terms (identity_distances' chunk, the circulant, its BLAS-packed copy and 64
-        # bytes a pair of heavy entries and bracket minima), or the witness re-check
+        # p's and q's narrow rows, and the largest stage: a piece of int64 draws; one chunk of _pair_terms
+        # (identity_distances' chunk, the circulant, its BLAS-packed copy, 64 bytes a pair of heavy entries and
+        # bracket minima) and its 57 bytes a pair of scores (the four terms, then the combined distances, the
+        # distinct mask, the ratios and two temporaries); or the witness re-check
         m, cell, chunk = sample_size, _signed_cells(n), min(sample_size, _ROWS_PER_CHUNK)
-        largest = max(8 * chunk * n, _identity_temp_bytes(m, n) + 16 * n * n + 64 * chunk, _coordinate_temp_bytes(n))
-        check_memory(m * (2 * cell.itemsize * n + 57) + largest, f"the envelope audit of {m:,} pairs in Sym_{n}")
+        largest = max(8 * chunk * n, _identity_temp_bytes(m, n) + 16 * n * n + 121 * chunk, _coordinate_temp_bytes(n))
+        check_memory(2 * m * cell.itemsize * n + largest, f"the envelope audit of {m:,} pairs in Sym_{n}")
         # each row is the rng.permutation(n) draw, in order, shuffled in place: int64 rows shuffle faster
         pairs = np.empty((2, m, n), dtype=cell)
         draws = np.empty((chunk, n), dtype=np.int64)
@@ -310,19 +314,14 @@ def distortion_audit(
                 piece[:] = np.arange(n)
                 rows[lo:lo + chunk] = rng.permuted(piece, axis=1, out=piece)
         del draws, piece
-        p_rows, q_rows = pairs
-        grid, profile, d_lo, d_hi = _pair_terms(p_rows, q_rows)
-        emb = _combined(grid, profile, scale1)
-        del grid, profile
-        checked, expansion, contraction = _score(emb, d_lo, d_hi, scale1,
-                                                 lambda i: _quotients(p_rows[i:i + 1], q_rows[i:i + 1])[0])
+        kernels = _circulant(n), _chord_kernel(n)
+        checked, expansion, contraction = _score(((*_pair_terms(p, q, *kernels), _pair_row(p, q)) for p, q in
+                                                  (pairs[:, lo:lo + chunk] for lo in range(0, m, chunk))), scale1)
+        del kernels  # the witness re-check builds its own kernel
 
     expansion_text, contraction_text = _check_witnesses(expansion[1], contraction[1])
-    return DistortionReport(
-        n, mode, checked, expansion[0], expansion_text, contraction[0], contraction_text,
-        expansion[0] * contraction[0], scale1, sample_size, seed,
-        _elapsed_ms(start),
-    )
+    return DistortionReport(n, mode, checked, expansion[0], expansion_text, contraction[0], contraction_text,
+                            expansion[0] * contraction[0], scale1, sample_size, seed, _elapsed_ms(start))
 
 
 def hamming_embed(n: int, bits: Sequence[int]) -> Permutation:

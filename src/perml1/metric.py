@@ -392,7 +392,7 @@ def formula_terms_batch(perms: np.ndarray, chunk: int = _FORMULA_CHUNK) -> tuple
         disp = _displacements(perms[lo:lo + block], pos)
         hist = _histograms(disp)
         sums[lo:lo + block] = hist.astype(np.float64) @ circulant  # BLAS
-        r, d = np.nonzero(hist >= n - n // 2)  # the heavy entries (2 hist >= n), by row and displacement
+        r, d = np.divmod(np.flatnonzero(hist >= n - n // 2), n)  # heavy entries (2 hist >= n): row, displacement
         del hist
         l = -d % n
         diams[lo + r, l] = _heavy_diameters(disp[r] != d[:, None], l)

@@ -36,7 +36,8 @@ def reference_sampled_exact(n, sample_size, seed):
     jj = np.where(jj >= ii, jj + 1, jj)
     sigma = audits._quotients(elements[ii], elements[jj])
     d = bfs_distances(n).dist[rank_rows(sigma)]
-    checked, (exp, exp_row), (con, con_row) = audits._score_rows(sigma, d, DEFAULT_GRID_SCALE)
+    checked, (exp, exp_row), (con, con_row) = audits._score([(*identity_distances(sigma), d, d, sigma.__getitem__)],
+                                                            DEFAULT_GRID_SCALE)
     exp_text, con_text = audits._check_witnesses(exp_row, con_row)
     return masked(DistortionReport(n, "exact", checked, exp, exp_text, con, con_text, exp * con, DEFAULT_GRID_SCALE,
                                    sample_size, seed, 0.0).to_json_dict())
@@ -105,6 +106,11 @@ class TestDistortionExact:
         # the drawn rows alone give the report that indexing all n! rows gave
         report = distortion_audit(n, sample_size=2000, seed=seed)
         assert masked(report.to_json_dict()) == reference_sampled_exact(n, 2000, seed)
+
+    def test_sampled_chunks_match_all_rows_reference(self):
+        # three chunks, each scored from p and q with sigma^-1's rank, against sigma formed and ranked whole
+        report = distortion_audit(7, sample_size=9000, seed=4)
+        assert masked(report.to_json_dict()) == reference_sampled_exact(7, 9000, 4)
 
     def test_element_sweep_matches_pair_sweep(self, tables):
         # the (id, sigma) sweep against every ordered pair scored on its own
@@ -268,7 +274,8 @@ class TestDistortionEnvelope:
         default_rng, pair_terms = np.random.default_rng, audits._pair_terms
         made = lambda s: generators.append(default_rng(s)) or generators[-1]  # noqa: E731
         monkeypatch.setattr(audits.np.random, "default_rng", made)
-        monkeypatch.setattr(audits, "_pair_terms", lambda p, q: drawn.append((p, q)) or pair_terms(p, q))
+        monkeypatch.setattr(audits, "_pair_terms",
+                            lambda p, q, *kernels: drawn.append((p, q)) or pair_terms(p, q, *kernels))
         distortion_audit(n, mode="envelope", sample_size=40, seed=seed)
         reference = default_rng(seed)
         for rows in drawn[0]:
@@ -290,7 +297,8 @@ class TestDistortionEnvelope:
     def test_scores_narrow_rows(self, n, dtype, monkeypatch):
         # the draws are int64 rows, which shuffle fastest; the pairs are scored in the narrow dtype
         scored, pair_terms = [], audits._pair_terms
-        monkeypatch.setattr(audits, "_pair_terms", lambda p, q: scored.append((p.dtype, q.dtype)) or pair_terms(p, q))
+        monkeypatch.setattr(audits, "_pair_terms",
+                            lambda p, q, *kernels: scored.append((p.dtype, q.dtype)) or pair_terms(p, q, *kernels))
         distortion_audit(n, mode="envelope", sample_size=30, seed=4)
         assert scored == [(np.dtype(dtype), np.dtype(dtype))]
 
@@ -309,6 +317,15 @@ class TestQuotients:
             assert tuple(row.tolist()) == compose(q, inverse(p)).images
 
 
+def pair_terms(p_rows, q_rows):
+    """_pair_terms over every pair, one 4,096-pair chunk at a time, as the envelope calls it."""
+    n, step = p_rows.shape[1], embed._ROWS_PER_CHUNK
+    kernels = metric._circulant(n), embed._chord_kernel(n)
+    chunks = [audits._pair_terms(p_rows[lo:lo + step], q_rows[lo:lo + step], *kernels)
+              for lo in range(0, len(p_rows), step)]
+    return tuple(np.concatenate(terms) for terms in zip(*chunks))
+
+
 def pair_rows(n, count, seed, dtype=None):
     """`count` seeded rows of Sym_n, in the narrow dtype the envelope draws take by default."""
     rng = np.random.default_rng(seed)
@@ -323,7 +340,7 @@ class TestPairTerms:
     def assert_matches_reference(p_rows, q_rows):
         sigma = audits._quotients(p_rows, q_rows)
         reference = (*identity_distances(sigma), *audits._bracket(*formula_terms_batch(sigma)))
-        got = audits._pair_terms(p_rows, q_rows)
+        got = pair_terms(p_rows, q_rows)
         for name, value, want in zip(("grid", "profile", "d_lo", "d_hi"), got, reference):
             assert value.dtype == want.dtype == np.float64, name
             assert value.tobytes() == want.tobytes(), name
@@ -337,7 +354,7 @@ class TestPairTerms:
     def test_equal_pairs(self, n):
         rows = pair_rows(n, 50, n)
         self.assert_matches_reference(rows, rows.copy())
-        d_lo = audits._pair_terms(rows, rows)[2]
+        d_lo = pair_terms(rows, rows)[2]
         assert not d_lo.any()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 40, 129])
@@ -371,6 +388,69 @@ class TestPairTerms:
         assert formed == [1, 1]
 
 
+class TestBlocks:
+    """Every mode scores its blocks as it makes them and keeps the running best (audits._score): the
+    report is that of one _score call over the whole sample."""
+
+    @staticmethod
+    def scored(call, monkeypatch):
+        """Run call with _score spied on: the report, the blocks it reduced and the sample indices of the
+        rows it formed, with blocks of 4,096 rows."""
+        blocks, formed, score = [], [], audits._score
+
+        def spy(made, scale1):
+            for k, (*terms, row) in enumerate(made):
+                blocks.append(terms)
+                yield *terms, lambda i, k=k, row=row: formed.append(k * 4096 + i) or row(i)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(audits, "_score", lambda made, scale1: score(spy(made, scale1), scale1))
+            return call(), blocks, formed
+
+    @pytest.mark.parametrize("mode", ["exact", "envelope"])
+    def test_ties_across_chunks_report_the_first_pair(self, mode, monkeypatch):
+        # 10,000 pairs of Sym_5 repeat each quotient about 80 times, so both maxima recur in every chunk
+        call = lambda: distortion_audit(5, mode=mode, sample_size=10_000, seed=2)  # noqa: E731
+        report, blocks, formed = self.scored(call, monkeypatch)
+        assert [len(grid) for grid, *_ in blocks] == [4096, 4096, 1808]
+        grid, profile, d_lo, d_hi = (np.concatenate(terms) for terms in zip(*blocks))
+        checked, (exp, ei), (con, ci) = audits._score([(grid, profile, d_lo, d_hi, int)], DEFAULT_GRID_SCALE)
+        assert (report.pairs_checked, report.max_expansion, report.max_contraction) == (checked, exp, con)
+        assert formed == [ei, ci]  # the rows of the two witnesses alone are formed
+        emb, distinct = DEFAULT_GRID_SCALE * grid + profile, d_lo > 0  # the envelope's repeated pairs read 0 / 0
+        with np.errstate(invalid="ignore"):
+            ratios = emb / d_lo, d_hi / emb
+        for ratio, best, first in zip(ratios, (exp, con), (ei, ci)):
+            tied = np.flatnonzero(distinct & (ratio == best))
+            assert tied[0] == first and len(set(tied // 4096)) == 3
+
+    def test_sampled_exact_forms_only_the_witnesses(self, monkeypatch):
+        # each chunk is scored from its rows p and q, and sigma^-1's rank reads the table
+        formed, quotients = [], audits._quotients
+        monkeypatch.setattr(audits, "_quotients", lambda p, q: formed.append(len(p)) or quotients(p, q))
+        distortion_audit(8, sample_size=9000, seed=5)
+        assert formed == [1, 1]
+
+    def test_fully_repeated_sample_is_refused_after_every_chunk(self, monkeypatch):
+        # unshuffled draws make every pair (id, id): no chunk scores a pair, and the error comes once, at the end
+        class Unshuffled:
+            def permuted(self, rows, axis, out):
+                return out
+
+        monkeypatch.setattr(audits.np.random, "default_rng", lambda seed: Unshuffled())
+        made = []
+        monkeypatch.setattr(audits, "_pair_terms", lambda p, q, *kernels, terms=audits._pair_terms:
+                            made.append(len(p)) or terms(p, q, *kernels))
+        with pytest.raises(ValueError, match="all sampled pairs were identical; increase sample_size"):
+            distortion_audit(4, mode="envelope", sample_size=10_000, seed=1)
+        assert made == [4096, 4096, 1808]
+
+    def test_a_block_without_distinct_pairs_is_not_refused(self):
+        blocks = [(*np.zeros((4, 3)), int), (np.ones(3), np.ones(3), np.array([0.0, 2.0, 1.0]), np.full(3, 4.0), int)]
+        checked, (exp, ei), (con, ci) = audits._score(blocks, 1.0)
+        assert (checked, exp, ei, con, ci) == (2, 2.0, 2, 2.0, 1)
+
+
 class TestMemoryBudget:
     """tracemalloc sees every numpy buffer: their peak must stay within the
     largest amount an audit checked against the budget."""
@@ -389,6 +469,21 @@ class TestMemoryBudget:
         call = lambda: distortion_audit(20, mode="envelope", sample_size=5000, seed=1)  # noqa: E731
         peak, largest = traced_peak_and_largest_check(call)
         assert peak <= largest
+
+    def test_large_sampled_exact_audit_at_a_small_degree(self, traced_peak_and_largest_check):
+        # the sample holds its two int64 draws, and one chunk of rows at a time is scored: scoring the
+        # whole sample at once would hold 33 + 4n + 36 bytes a sample beside the table
+        m = 200_000
+        peak, largest = traced_peak_and_largest_check(lambda: distortion_audit(8, sample_size=m, seed=1))
+        assert peak <= largest < math.factorial(8) + m * (33 + 4 * 8 + 36)
+
+    def test_large_envelope_sample_at_a_small_degree(self, traced_peak_and_largest_check):
+        # p's and q's int8 rows, and one chunk of scores at a time: scores of the whole sample, made at
+        # once, would add 57 bytes a pair to the rows
+        m, n = 200_000, 20
+        call = lambda: distortion_audit(n, mode="envelope", sample_size=m, seed=1)  # noqa: E731
+        peak, largest = traced_peak_and_largest_check(call)
+        assert peak <= largest < m * (2 * n + 57)
 
     def test_envelope_witness_profiles(self, traced_peak_and_largest_check):
         # few pairs at a high degree, where the witness re-check's grids and interval windows
@@ -452,7 +547,7 @@ class TestMemoryBudget:
         assert peak <= largest
 
     @pytest.mark.parametrize("call, what", [
-        (lambda: distortion_audit(3384, mode="envelope"), "envelope audit of 20,000 pairs in Sym_3384 needs"),
+        (lambda: distortion_audit(3386, mode="envelope"), "envelope audit of 20,000 pairs in Sym_3386 needs"),
         (lambda: drift_walk(100, 1, 10 ** 6), "formula drift walk of 1,000,000 walkers on Sym_100 needs"),
         (lambda: cube_audit(40), "cube audit of 820 classes at degree 6400 needs"),
     ], ids=["envelope", "drift", "cube"])
